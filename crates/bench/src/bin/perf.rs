@@ -1,26 +1,26 @@
 //! Measures host simulator throughput on the Figure 5 sweep at
-//! `Scale::Test` and maintains the `BENCH_dispatch.json` and
-//! `BENCH_parallel.json` trajectory artifacts.
+//! `Scale::Test` and maintains the `BENCH_dispatch.json` trajectory
+//! artifact.
 //!
 //! ```text
 //! cargo run --release -p vta-bench --bin perf                  # print only
-//! cargo run --release -p vta-bench --bin perf -- --threads 4   # parallel sweep
+//! cargo run --release -p vta-bench --bin perf -- --threads 4   # sweep on 4 host threads
 //! cargo run --release -p vta-bench --bin perf -- --write       # refresh dispatch JSON
-//! cargo run --release -p vta-bench --bin perf -- --scaling     # refresh parallel JSON
 //! cargo run --release -p vta-bench --bin perf -- --check       # verify determinism
 //! cargo run --release -p vta-bench --bin perf -- --metrics     # windowed time series
 //! cargo run --release -p vta-bench --bin perf -- --superblock  # refresh superblock A/B JSON
-//! cargo run --release -p vta-bench --bin perf -- --fabric-scaling  # 2 fabric workers beat 1?
 //! cargo run --release -p vta-bench --bin perf -- --profile     # host wall-time breakdown
 //! ```
 //!
-//! `--profile [--bench B] [--scale test|small|large] [--threads N]
-//! [--fabric-workers M] [--manager-shards S]` runs one benchmark
+//! `--threads N` fans the fig5 sweep's independent cells out over at
+//! most N host threads; every simulated number is identical at every
+//! N, only the wall clock changes. Each cell is one serial simulation.
+//!
+//! `--profile [--bench B] [--scale test|small|large]` runs one benchmark
 //! (default: crafty at `Scale::Large`) with the host wall-clock span
-//! profiler AND the cycle tracer enabled, prints the per-thread
-//! top-phases table plus the manager-duty breakdown (deterministic
-//! `manager.*` cycle counters) and the per-shard manager attribution,
-//! and writes `BENCH_profile.json` and a merged two-clock
+//! profiler AND the cycle tracer enabled, prints the top-phases table
+//! plus the manager-duty breakdown (deterministic `manager.*` cycle
+//! counters), and writes `BENCH_profile.json` and a merged two-clock
 //! Perfetto timeline `profile_B_trace.json` (simulated-cycle tracks as
 //! process 1, host wall tracks as process 2). Combined forms:
 //! `--profile --check` reruns the determinism check with profiling
@@ -33,65 +33,33 @@
 //! `--superblock` runs the region-formation A/B matrix (gzip/mcf/crafty/
 //! interp × both opt levels × off/static/recorded superblock modes),
 //! asserts guest-instruction retirement reconciles across the modes,
-//! re-derives the paper-default fingerprints at 1/4/nproc host threads
-//! to attest thread-count invariance, and writes
-//! `BENCH_superblock.json`. `--superblock --check` runs only the cell
-//! matrix and the retirement reconciliation — no fingerprints, no
-//! `Scale::Large` highlights, nothing written — as a fast CI gate.
+//! re-derives the paper-default fingerprints against
+//! `BENCH_dispatch.json`, and writes `BENCH_superblock.json`.
+//! `--superblock --check` runs only the cell matrix and the retirement
+//! reconciliation — no fingerprints, no `Scale::Large` highlights,
+//! nothing written — as a fast CI gate.
 //!
-//! `--metrics [--bench B] [--interval N] [--threads N]` runs one
-//! benchmark at `Scale::Test` with the windowed metrics layer on and
-//! writes the series as `metrics_B.csv` / `metrics_B.json` plus a
-//! Chrome-trace file `metrics_B_trace.json` whose counter tracks open
-//! directly in Perfetto; the phase report and (when `--threads > 1`)
-//! the host worker-pool counters go to stdout. `--metrics --check`
+//! `--metrics [--bench B] [--interval N]` runs one benchmark at
+//! `Scale::Test` with the windowed metrics layer on and writes the
+//! series as `metrics_B.csv` / `metrics_B.json` plus a Chrome-trace file
+//! `metrics_B_trace.json` whose counter tracks open directly in
+//! Perfetto; the phase report goes to stdout. `--metrics --check`
 //! instead re-derives the committed `BENCH_metrics_vpr.csv` golden
-//! (vpr, serial, fixed interval) and diffs byte-for-byte — regenerate
-//! with `--metrics --bless` when a simulated-behavior change is
-//! intentional.
-//!
-//! `--threads N` sets both the sweep's host-thread fan-out and the
-//! in-`System` worker-pool width used for the fingerprint runs, so a
-//! `--check` at `--threads 4` genuinely exercises the parallel
-//! translation path end to end. `--fabric-workers N` likewise sets the
-//! epoch-parallel fabric partition count inside each fingerprinted
-//! `System` (the `VTA_FABRIC_WORKERS` env var reaches every other mode,
-//! including the metrics golden and the superblock matrix).
-//! `--manager-shards S` (or `VTA_MANAGER_SHARDS`) sets the manager
-//! service-shard count: per-partition duty attribution over one shared
-//! service ring, so simulated behavior is bit-identical at every count
-//! and only the per-shard report changes.
+//! (vpr, fixed interval) and diffs byte-for-byte — regenerate with
+//! `--metrics --bless` when a simulated-behavior change is intentional.
 //!
 //! With `--check`, the fingerprints are recomputed and compared against
-//! the checked-in `BENCH_dispatch.json`, and `BENCH_parallel.json` is
-//! validated for internal consistency — nothing is rewritten, and any
-//! drift exits nonzero. Crucially the `--check` stdout is identical for
-//! every `--threads`, `--fabric-workers`, and `--manager-shards` value,
-//! so CI can diff the output across all three axes to enforce the
-//! determinism invariant.
-//!
-//! With `--scaling`, the fig5 sweep runs at 1/2/4/8 threads (verifying
-//! fingerprints at each width), the `Scale::Large` highlight pair runs
-//! at 1/2/nproc fabric workers (verifying fingerprints at each count),
-//! and the measured trajectories are written to `BENCH_parallel.json`.
-//!
-//! `--fabric-scaling` is the core-count-gated CI gate: on a multi-core
-//! host the `Scale::Large` highlight pair at 2 fabric workers must beat
-//! 1 on wall clock; on a single-core host the stage reports itself
-//! skipped (epoch-parallelism cannot beat serial without physical
-//! cores) and exits 0.
+//! the checked-in `BENCH_dispatch.json` — nothing is rewritten, and any
+//! drift exits nonzero.
 
 use vta_bench::metrics::{metrics_benchmark, phase_summary, series_csv, series_json};
 use vta_bench::perf::{
-    cycle_fingerprint, cycle_fingerprint_profiled, cycle_fingerprint_with_pool,
-    fabric_highlight_wall, host_pools_summary, parse_fingerprints, render_json,
-    render_parallel_json, render_superblock_json, run_fig5_probe, superblock_cells,
-    superblock_highlights, superblock_reconciles, validate_parallel, FabricPoint, Fingerprint,
-    ParallelPoint, SweepPerf,
+    cycle_fingerprint, cycle_fingerprint_profiled, parse_fingerprints, render_json,
+    render_superblock_json, run_fig5_probe, superblock_cells, superblock_highlights,
+    superblock_reconciles, SweepPerf,
 };
 use vta_bench::profile::{
-    manager_report, profile_benchmark, profile_overhead, render_profile_json, shard_report,
-    top_phases_report,
+    manager_report, profile_benchmark, profile_overhead, render_profile_json, top_phases_report,
 };
 use vta_bench::trace::{chrome_trace_json_two_clock, chrome_trace_json_with_metrics};
 use vta_dbt::VirtualArchConfig;
@@ -131,37 +99,12 @@ fn threads_arg() -> usize {
         .unwrap_or(1)
 }
 
-fn fabric_workers_arg() -> usize {
-    arg_value("--fabric-workers")
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// `--manager-shards N`, falling back to `VTA_MANAGER_SHARDS` (the env
-/// route reaches modes without explicit plumbing), else 1.
-fn manager_shards_arg() -> usize {
-    arg_value("--manager-shards")
-        .and_then(|v| v.parse::<usize>().ok())
-        .or_else(|| {
-            std::env::var("VTA_MANAGER_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-        })
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Recomputes the fingerprints (with `threads` host threads,
-/// `fabric_workers` fabric partitions, and `manager_shards` manager
-/// service shards inside each fingerprinted `System`) and diffs them
-/// against the checked-in JSON; also validates `BENCH_parallel.json`.
-/// Returns the process exit code.
+/// Recomputes the fingerprints and diffs them against the checked-in
+/// JSON. Returns the process exit code.
 ///
-/// Everything printed to stdout here is independent of `threads`,
-/// `fabric_workers`, `manager_shards`, AND `profiled`: ci.sh diffs
-/// this output across the whole matrix and across profiling on/off.
-fn check(threads: usize, fabric_workers: usize, manager_shards: usize, profiled: bool) -> i32 {
+/// Everything printed to stdout here is independent of `profiled`:
+/// ci.sh diffs this output across profiling on/off.
+fn check(profiled: bool) -> i32 {
     let json = match std::fs::read_to_string("BENCH_dispatch.json") {
         Ok(j) => j,
         Err(e) => {
@@ -177,9 +120,9 @@ fn check(threads: usize, fabric_workers: usize, manager_shards: usize, profiled:
         }
     };
     let actual = if profiled {
-        cycle_fingerprint_profiled(threads, fabric_workers, manager_shards)
+        cycle_fingerprint_profiled()
     } else {
-        cycle_fingerprint(threads, fabric_workers, manager_shards)
+        cycle_fingerprint()
     };
     let mut bad = false;
     for fp in &actual {
@@ -201,26 +144,13 @@ fn check(threads: usize, fabric_workers: usize, manager_shards: usize, profiled:
         }
         // Not compared against the dispatch file (older files predate
         // it); printed so ci.sh can diff the FULL stats state across
-        // thread counts, not just total cycles.
+        // profiling on/off, not just total cycles.
         println!("--check: {}: stats_fp {:016x}", fp.name, fp.stats_fp);
-    }
-    match std::fs::read_to_string("BENCH_parallel.json") {
-        Ok(pjson) => match validate_parallel(&pjson) {
-            Ok(()) => println!("--check: BENCH_parallel.json ok"),
-            Err(e) => {
-                eprintln!("--check: BENCH_parallel.json invalid: {e}");
-                bad = true;
-            }
-        },
-        Err(e) => {
-            eprintln!("--check: cannot read BENCH_parallel.json: {e}");
-            bad = true;
-        }
     }
     if bad {
         eprintln!(
-            "--check: simulated behavior or artifacts drifted; if intentional, refresh \
-             with `perf -- --write` / `perf -- --scaling` and explain the change"
+            "--check: simulated behavior drifted; if intentional, refresh with \
+             `perf -- --write` and explain the change"
         );
         1
     } else {
@@ -228,146 +158,18 @@ fn check(threads: usize, fabric_workers: usize, manager_shards: usize, profiled:
     }
 }
 
-/// Runs the fig5 sweep at 1/2/4/8 threads and the `Scale::Large`
-/// highlight pair at 1/2/nproc fabric workers, verifying the
-/// fingerprints are identical at every point on both axes, and writes
-/// `BENCH_parallel.json`.
-fn scaling() -> i32 {
-    let mut points: Vec<ParallelPoint> = Vec::new();
-    let mut base_fp: Option<Vec<Fingerprint>> = None;
-    let mut base_wall = 0.0f64;
-    for threads in [1usize, 2, 4, 8] {
-        let (perf, _) = run_fig5_probe(&format!("{threads} threads"), threads);
-        let fp = cycle_fingerprint(threads, 1, 1);
-        match &base_fp {
-            None => base_fp = Some(fp),
-            Some(base) => {
-                if *base != fp {
-                    eprintln!("--scaling: fingerprints diverged at {threads} threads");
-                    return 1;
-                }
-            }
-        }
-        if threads == 1 {
-            base_wall = perf.wall_seconds;
-        }
-        let speedup = base_wall / perf.wall_seconds.max(1e-9);
-        println!(
-            "--scaling: {threads} threads: wall {:.3}s, cpu {:.3}s, speedup {:.2}x",
-            perf.wall_seconds, perf.cpu_seconds, speedup
-        );
-        points.push(ParallelPoint {
-            threads,
-            wall_seconds: perf.wall_seconds,
-            cpu_seconds: perf.cpu_seconds,
-            speedup_wall: speedup,
-        });
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut fabric_widths = vec![1usize, 2, cores];
-    fabric_widths.sort_unstable();
-    fabric_widths.dedup();
-    let mut fabric_points: Vec<FabricPoint> = Vec::new();
-    let mut fabric_base = 0.0f64;
-    for &workers in &fabric_widths {
-        let fp = cycle_fingerprint(1, workers, 1);
-        if *base_fp.as_ref().expect("thread sweep ran first") != fp {
-            eprintln!("--scaling: fingerprints diverged at {workers} fabric workers");
-            return 1;
-        }
-        let wall = fabric_highlight_wall(workers);
-        if workers == 1 {
-            fabric_base = wall;
-        }
-        let speedup = fabric_base / wall.max(1e-9);
-        println!(
-            "--scaling: {workers} fabric workers: large highlights wall {wall:.3}s, \
-             speedup {speedup:.2}x"
-        );
-        fabric_points.push(FabricPoint {
-            workers,
-            wall_seconds: wall,
-            speedup_wall: speedup,
-        });
-    }
-    let host = format!("{cores}-core host (speedup bounded by physical cores)");
-    let json = render_parallel_json(&host, &points, &fabric_points, true);
-    std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
-    println!("wrote BENCH_parallel.json");
-    0
-}
-
-/// `--fabric-scaling`: the core-count-gated wall-clock gate. On a
-/// multi-core host, 2 fabric workers must beat 1 on the `Scale::Large`
-/// highlight pair; on a single-core host the gate cannot be meaningful
-/// (the epoch workers would time-slice one core), so it reports itself
-/// skipped and passes. Returns the process exit code.
-fn fabric_scaling() -> i32 {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores < 2 {
-        println!(
-            "--fabric-scaling: skipped: single-core host (epoch-parallel workers would \
-             time-slice one core; no wall-clock win is possible)"
-        );
-        return 0;
-    }
-    let wall1 = fabric_highlight_wall(1);
-    let wall2 = fabric_highlight_wall(2);
-    println!(
-        "--fabric-scaling: large highlights wall {wall1:.3}s @ 1 fabric worker, \
-         {wall2:.3}s @ 2 ({:.2}x)",
-        wall1 / wall2.max(1e-9)
-    );
-    if wall2 < wall1 {
-        println!("--fabric-scaling: PASS: 2 fabric workers beat 1 on a {cores}-core host");
-        0
-    } else {
-        eprintln!(
-            "--fabric-scaling: FAIL: 2 fabric workers ({wall2:.3}s) did not beat 1 \
-             ({wall1:.3}s) on a {cores}-core host"
-        );
-        1
-    }
-}
-
-/// `--superblock` mode: attest fingerprint thread-count invariance,
-/// run the region-formation A/B matrix, assert retirement reconciles
-/// across modes, and write `BENCH_superblock.json`. With `check_only`
+/// `--superblock` mode: check the paper-default fingerprints against
+/// `BENCH_dispatch.json` (see [`check`]), run the region-formation A/B
+/// matrix, assert retirement reconciles across modes, and write
+/// `BENCH_superblock.json`. With `check_only`
 /// the matrix + reconciliation run alone (fast CI gate, no write).
 /// Returns the process exit code.
 fn superblock_mode(check_only: bool) -> i32 {
     if !check_only {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut widths = vec![1usize, 4, cores];
-        widths.dedup();
-        let base = cycle_fingerprint(1, 1, 1);
-        for &w in &widths[1..] {
-            let fp = cycle_fingerprint(w, 1, 1);
-            if fp != base {
-                eprintln!("--superblock: fingerprints diverged at {w} host threads");
-                return 1;
-            }
+        let code = check(false);
+        if code != 0 {
+            return code;
         }
-        println!(
-            "--superblock: fingerprints identical at {:?} host threads",
-            widths
-        );
-        if cycle_fingerprint(1, 2, 1) != base {
-            eprintln!("--superblock: fingerprints diverged at 2 fabric workers");
-            return 1;
-        }
-        println!("--superblock: fingerprints identical at [1, 2] fabric workers");
-        if cycle_fingerprint(1, 1, 2) != base {
-            eprintln!("--superblock: fingerprints diverged at 2 manager shards");
-            return 1;
-        }
-        println!("--superblock: fingerprints identical at [1, 2] manager shards");
     }
     let cells = superblock_cells();
     for c in &cells {
@@ -417,10 +219,10 @@ fn superblock_mode(check_only: bool) -> i32 {
 
 /// `--profile` mode: run one benchmark with the host wall profiler and
 /// the cycle tracer both on, print the two breakdowns (host wall
-/// phases per thread; manager duties in simulated cycles), and write
+/// phases; manager duties in simulated cycles), and write
 /// the trajectory JSON plus the merged two-clock Perfetto timeline.
 /// Returns the process exit code.
-fn profile_mode(threads: usize, fabric_workers: usize, manager_shards: usize) -> i32 {
+fn profile_mode() -> i32 {
     let bench = arg_value("--bench").unwrap_or_else(|| "crafty".to_string());
     let scale = match arg_value("--scale").as_deref() {
         None | Some("large") => Scale::Large,
@@ -431,32 +233,13 @@ fn profile_mode(threads: usize, fabric_workers: usize, manager_shards: usize) ->
             return 2;
         }
     };
-    let run = profile_benchmark(
-        &bench,
-        scale,
-        threads,
-        fabric_workers,
-        manager_shards,
-        1 << 16,
-    );
+    let run = profile_benchmark(&bench, scale, 1 << 16);
     println!(
-        "--profile: {} @ Scale::{:?}, {} host thread{}, {} fabric worker{}, {} manager \
-         shard{}: {} cycles, {} guest insns, wall {:.3}s",
-        run.bench,
-        scale,
-        threads,
-        if threads == 1 { "" } else { "s" },
-        fabric_workers,
-        if fabric_workers == 1 { "" } else { "s" },
-        run.manager_shards,
-        if run.manager_shards == 1 { "" } else { "s" },
-        run.cycles,
-        run.guest_insns,
-        run.wall_seconds
+        "--profile: {} @ Scale::{:?}: {} cycles, {} guest insns, wall {:.3}s",
+        run.bench, scale, run.cycles, run.guest_insns, run.wall_seconds
     );
     print!("{}", top_phases_report(&run.profile));
     print!("{}", manager_report(&run.manager));
-    print!("{}", shard_report(&run.shards, run.cycles));
     let trace_path = format!("profile_{bench}_trace.json");
     for (path, content) in [
         ("BENCH_profile.json".to_string(), render_profile_json(&run)),
@@ -495,13 +278,11 @@ fn overhead_mode() -> i32 {
 }
 
 /// The committed metrics golden: benchmark, interval, and file name.
-/// Serial on purpose — host-pool gauges are only registered when a
-/// worker pool spawns, so the serial column set is host-independent.
 const METRICS_GOLDEN: (&str, u64, &str) = ("vpr", 50_000, "BENCH_metrics_vpr.csv");
 
 /// `--metrics` mode: run one benchmark with windowed sampling on and
 /// export/inspect the series. Returns the process exit code.
-fn metrics_mode(threads: usize) -> i32 {
+fn metrics_mode() -> i32 {
     let check = std::env::args().any(|a| a == "--check");
     let bless = std::env::args().any(|a| a == "--bless");
     if check || bless {
@@ -516,12 +297,11 @@ fn metrics_mode(threads: usize) -> i32 {
         interval,
         ..MetricsConfig::default()
     };
-    let (report, m, host) = metrics_benchmark(
+    let (report, m) = metrics_benchmark(
         &bench,
         Scale::Test,
         VirtualArchConfig::paper_default(),
         mcfg,
-        threads,
     );
     if !m.is_enabled() {
         eprintln!("--metrics: built without the `metrics` feature; nothing recorded");
@@ -536,7 +316,7 @@ fn metrics_mode(threads: usize) -> i32 {
          end-of-run stats exactly",
         m.len()
     );
-    print!("{}", phase_summary(&m, &report, host.as_ref()));
+    print!("{}", phase_summary(&m, &report));
     for (path, content) in [
         (format!("metrics_{bench}.csv"), series_csv(&m)),
         (format!("metrics_{bench}.json"), series_json(&m)),
@@ -552,10 +332,10 @@ fn metrics_mode(threads: usize) -> i32 {
 }
 
 /// `--metrics --check` / `--bless`: re-derive the golden series CSV
-/// (always serial at the fixed interval) and diff or rewrite it.
+/// (at the fixed interval) and diff or rewrite it.
 fn metrics_check(bless: bool) -> i32 {
     let (bench, interval, path) = METRICS_GOLDEN;
-    let (report, m, _) = metrics_benchmark(
+    let (report, m) = metrics_benchmark(
         bench,
         Scale::Test,
         VirtualArchConfig::paper_default(),
@@ -563,7 +343,6 @@ fn metrics_check(bless: bool) -> i32 {
             interval,
             ..MetricsConfig::default()
         },
-        1,
     );
     if !m.is_enabled() {
         println!("--metrics --check: `metrics` feature off; golden not applicable, skipping");
@@ -615,32 +394,24 @@ fn metrics_check(bless: bool) -> i32 {
 }
 
 fn main() {
-    let threads = threads_arg();
-    let fabric_workers = fabric_workers_arg();
-    let manager_shards = manager_shards_arg();
     if std::env::args().any(|a| a == "--metrics") {
-        std::process::exit(metrics_mode(threads));
+        std::process::exit(metrics_mode());
     }
     if std::env::args().any(|a| a == "--superblock") {
         let check_only = std::env::args().any(|a| a == "--check");
         std::process::exit(superblock_mode(check_only));
-    }
-    if std::env::args().any(|a| a == "--fabric-scaling") {
-        std::process::exit(fabric_scaling());
     }
     let profiled = std::env::args().any(|a| a == "--profile");
     if profiled && std::env::args().any(|a| a == "--overhead") {
         std::process::exit(overhead_mode());
     }
     if std::env::args().any(|a| a == "--check") {
-        std::process::exit(check(threads, fabric_workers, manager_shards, profiled));
+        std::process::exit(check(profiled));
     }
     if profiled {
-        std::process::exit(profile_mode(threads, fabric_workers, manager_shards));
+        std::process::exit(profile_mode());
     }
-    if std::env::args().any(|a| a == "--scaling") {
-        std::process::exit(scaling());
-    }
+    let threads = threads_arg();
     let write = std::env::args().any(|a| a == "--write");
     let (after, _) = run_fig5_probe(
         "after: interned stats + arena dispatch + D$ fast path + shared translations",
@@ -655,18 +426,11 @@ fn main() {
         after.guest_insns_per_sec() / 1e6,
         after.sim_cycles_per_sec() / 1e6
     );
-    let (fp, pool, fabric) = cycle_fingerprint_with_pool(threads, fabric_workers, manager_shards);
+    let fp = cycle_fingerprint();
     for f in &fp {
         println!("paper_default cycles {}: {}", f.name, f.cycles);
         println!("paper_default stats_fp {}: {:016x}", f.name, f.stats_fp);
     }
-    // Host-side pool counters (threads / fabric workers > 1 only) as
-    // one unified section. Informational: they depend on host
-    // scheduling, so they are never part of --check.
-    print!(
-        "{}",
-        host_pools_summary(threads, fabric_workers, pool.as_ref(), fabric.as_ref())
-    );
     if write {
         let json = render_json(&pre_opt_baseline(), &after, &fp);
         std::fs::write("BENCH_dispatch.json", &json).expect("write BENCH_dispatch.json");

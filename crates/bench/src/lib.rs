@@ -290,14 +290,29 @@ mod tests {
 
     #[test]
     fn bounded_sweep_is_thread_count_invariant() {
-        let configs = vec![("a".to_string(), VirtualArchConfig::paper_default())];
+        // Both configs share paper_default's `(opt, superblock)` memo
+        // key, so on more than one thread two cells of the same
+        // benchmark fill one `SharedTranslations` memo concurrently.
+        let configs = vec![
+            ("a".to_string(), VirtualArchConfig::paper_default()),
+            (
+                "b".to_string(),
+                VirtualArchConfig::with_translators(2, true),
+            ),
+        ];
+        let memos = shared_per_opt(&configs);
+        assert_eq!(memos.len(), 1, "one memo shared by both configs");
         let serial = sweep_threads(Scale::Test, &configs, 1);
         let bounded = sweep_threads(Scale::Test, &configs, 3);
         assert_eq!(serial.len(), bounded.len());
         for (s, b) in serial.iter().zip(&bounded) {
-            assert_eq!(s.bench, b.bench, "canonical job order");
-            assert_eq!(s.report.cycles, b.report.cycles, "{}", s.bench);
-            assert_eq!(s.report.stats, b.report.stats, "{}", s.bench);
+            assert_eq!(
+                (&s.bench, &s.config),
+                (&b.bench, &b.config),
+                "canonical job order"
+            );
+            assert_eq!(s.report.cycles, b.report.cycles, "{}/{}", s.bench, s.config);
+            assert_eq!(s.report.stats, b.report.stats, "{}/{}", s.bench, s.config);
         }
     }
 

@@ -17,7 +17,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use vta_dbt::{FabricPerf, HostPerf, System, VirtualArchConfig};
+use vta_dbt::{System, VirtualArchConfig};
 use vta_workloads::Scale;
 
 use crate::figures::fig5_configs;
@@ -32,10 +32,9 @@ pub struct SweepPerf {
     pub wall_seconds: f64,
     /// Sum of per-cell **wall** seconds — the sweep's serial work,
     /// thread-count neutral. The name is historical (it predates the
-    /// host profiler and is baked into the `BENCH_dispatch.json` /
-    /// `BENCH_parallel.json` schema): this is NOT OS CPU time and is
-    /// not comparable to the profiler's per-thread wall breakdown in
-    /// `BENCH_profile.json`. Prefer [`SweepPerf::serial_seconds`] in
+    /// host profiler and is baked into the `BENCH_dispatch.json`
+    /// schema): this is NOT OS CPU time and is not comparable to the
+    /// profiler's per-thread wall breakdown in `BENCH_profile.json`. Prefer [`SweepPerf::serial_seconds`] in
     /// new code.
     pub cpu_seconds: f64,
     /// Total guest instructions retired across all cells.
@@ -145,146 +144,40 @@ pub struct Fingerprint {
 }
 
 /// Simulated signatures that must stay bit-identical across host-side
-/// optimizations — and across host thread AND fabric worker counts.
-///
-/// Each benchmark runs in a [`System`] with `host_threads` host threads,
-/// `fabric_workers` fabric partitions, and `manager_shards` manager
-/// service shards (so `--threads N --fabric-workers M --manager-shards S`
-/// genuinely exercises all three axes on the fingerprinted runs); the
-/// returned cycles AND stats digest must not depend on any of the three
-/// counts at all.
-pub fn cycle_fingerprint(
-    host_threads: usize,
-    fabric_workers: usize,
-    manager_shards: usize,
-) -> Vec<Fingerprint> {
-    fingerprint_runs(host_threads, fabric_workers, manager_shards, false).0
+/// optimizations: one serial `paper_default` run per benchmark, whose
+/// cycles AND stats digest are frozen in `BENCH_dispatch.json`.
+pub fn cycle_fingerprint() -> Vec<Fingerprint> {
+    fingerprint_runs(false)
 }
 
 /// [`cycle_fingerprint`] with host wall-clock profiling enabled inside
 /// every fingerprinted [`System`] (the profiles themselves are
 /// discarded). Exists so `--profile --check` can prove the tentpole
 /// invariant: profiling must not move a single fingerprinted bit.
-pub fn cycle_fingerprint_profiled(
-    host_threads: usize,
-    fabric_workers: usize,
-    manager_shards: usize,
-) -> Vec<Fingerprint> {
-    fingerprint_runs(host_threads, fabric_workers, manager_shards, true).0
+pub fn cycle_fingerprint_profiled() -> Vec<Fingerprint> {
+    fingerprint_runs(true)
 }
 
-/// [`cycle_fingerprint`] plus the host worker-pool and fabric-pool
-/// counters summed over the fingerprinted runs (`None` when the
-/// respective count is 1: no pool).
-///
-/// The pool counters are host-scheduling-dependent, which is exactly why
-/// they live beside the fingerprints instead of inside them — callers
-/// print them for visibility but must never diff them across runs.
-pub fn cycle_fingerprint_with_pool(
-    host_threads: usize,
-    fabric_workers: usize,
-    manager_shards: usize,
-) -> (Vec<Fingerprint>, Option<HostPerf>, Option<FabricPerf>) {
-    fingerprint_runs(host_threads, fabric_workers, manager_shards, false)
-}
-
-fn fingerprint_runs(
-    host_threads: usize,
-    fabric_workers: usize,
-    manager_shards: usize,
-    profiled: bool,
-) -> (Vec<Fingerprint>, Option<HostPerf>, Option<FabricPerf>) {
-    let mut pool: Option<HostPerf> = None;
-    let mut fabric: Option<FabricPerf> = None;
-    let mut fps = Vec::new();
+fn fingerprint_runs(profiled: bool) -> Vec<Fingerprint> {
     // interp rides along beyond the paper's trio: its computed-goto
     // dispatch drives the indirect-target inline cache, so fingerprint
     // drift there catches cache-state nondeterminism the others can't.
-    for name in ["gzip", "mcf", "crafty", "interp"] {
-        let w = vta_workloads::by_name(name, Scale::Test).expect("benchmark exists");
-        let mut sys = System::new(VirtualArchConfig::paper_default(), &w.image);
-        sys.set_host_threads(host_threads);
-        sys.set_fabric_workers(fabric_workers);
-        sys.set_manager_shards(manager_shards);
-        if profiled {
-            sys.enable_profiling(vta_sim::ProfConfig::default());
-        }
-        let report = sys.run(crate::RUN_BUDGET).expect("benchmark runs");
-        if let Some(p) = sys.host_perf() {
-            let acc = pool.get_or_insert_with(HostPerf::default);
-            acc.submitted += p.submitted;
-            acc.translated += p.translated;
-            acc.failed += p.failed;
-            acc.hits += p.hits;
-            acc.stale += p.stale;
-            acc.misses += p.misses;
-            acc.steals += p.steals;
-            acc.discarded += p.discarded;
-        }
-        if let Some(p) = sys.fabric_perf() {
-            let acc = fabric.get_or_insert_with(FabricPerf::default);
-            acc.submitted += p.submitted;
-            acc.translated += p.translated;
-            acc.failed += p.failed;
-            acc.hits += p.hits;
-            acc.waited += p.waited;
-            acc.reclaimed += p.reclaimed;
-            acc.stale += p.stale;
-            acc.misses += p.misses;
-            acc.discarded += p.discarded;
-            acc.exchanges += p.exchanges;
-        }
-        fps.push(Fingerprint {
-            name,
-            cycles: report.cycles,
-            stats_fp: report.stats.fingerprint(),
-        });
-    }
-    (fps, pool, fabric)
-}
-
-/// Renders both host-side worker-pool counter sets as one unified
-/// "host pools" stdout section (one line per pool that actually
-/// spawned; empty string when neither did). The counters are
-/// host-scheduling-dependent — informational only, never part of any
-/// `--check` diff.
-pub fn host_pools_summary(
-    host_threads: usize,
-    fabric_workers: usize,
-    pool: Option<&HostPerf>,
-    fabric: Option<&FabricPerf>,
-) -> String {
-    if pool.is_none() && fabric.is_none() {
-        return String::new();
-    }
-    let mut out = String::from("host pools (host-scheduling-dependent, informational):\n");
-    if let Some(p) = pool {
-        let _ = writeln!(
-            out,
-            "  host   ({host_threads} threads): {} submitted, {} translated ({} failed), \
-             {} hits / {} stale / {} misses, {} steals, {} discarded epochs",
-            p.submitted, p.translated, p.failed, p.hits, p.stale, p.misses, p.steals, p.discarded
-        );
-    }
-    if let Some(p) = fabric {
-        let _ = writeln!(
-            out,
-            "  fabric ({fabric_workers} workers): {} submitted, {} translated ({} failed), \
-             {} hits ({} waited) / {} stale / {} misses, {} reclaimed, {} discarded, \
-             {} exchanges",
-            p.submitted,
-            p.translated,
-            p.failed,
-            p.hits,
-            p.waited,
-            p.stale,
-            p.misses,
-            p.reclaimed,
-            p.discarded,
-            p.exchanges
-        );
-    }
-    out
+    ["gzip", "mcf", "crafty", "interp"]
+        .into_iter()
+        .map(|name| {
+            let w = vta_workloads::by_name(name, Scale::Test).expect("benchmark exists");
+            let mut sys = System::new(VirtualArchConfig::paper_default(), &w.image);
+            if profiled {
+                sys.enable_profiling(vta_sim::ProfConfig::default());
+            }
+            let report = sys.run(crate::RUN_BUDGET).expect("benchmark runs");
+            Fingerprint {
+                name,
+                cycles: report.cycles,
+                stats_fp: report.stats.fingerprint(),
+            }
+        })
+        .collect()
 }
 
 fn emit_perf(out: &mut String, indent: &str, p: &SweepPerf) {
@@ -342,111 +235,6 @@ pub fn render_json(before: &SweepPerf, after: &SweepPerf, fingerprint: &[Fingerp
         let _ = writeln!(out, "    \"{}\": {}{comma}", fp.name, fp.stats_fp);
     }
     let _ = writeln!(out, "  }}");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// One thread-count sample of the scaling experiment
-/// (`BENCH_parallel.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParallelPoint {
-    /// Host threads the fig5 sweep ran with.
-    pub threads: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_seconds: f64,
-    /// Sum of per-cell **wall** seconds (total host work; inflation
-    /// over the 1-thread value is contention/oversubscription
-    /// overhead). Historical name kept for the `BENCH_parallel.json`
-    /// schema — see [`SweepPerf::cpu_seconds`]; not OS CPU time.
-    pub cpu_seconds: f64,
-    /// `wall(1 thread) / wall(this)`.
-    pub speedup_wall: f64,
-}
-
-/// One fabric-worker sample of the scaling experiment: the
-/// `Scale::Large` superblock-highlight benches run with the tile grid
-/// partitioned across `workers` epoch-lockstepped host workers
-/// (`--fabric-workers`). Wall-clock only — the fabric pool adds no
-/// separately attributable CPU accounting beyond the run itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FabricPoint {
-    /// Fabric workers (column-stripe partitions) the runs used.
-    pub workers: usize,
-    /// Median wall-clock seconds over the highlight benches.
-    pub wall_seconds: f64,
-    /// `wall(1 worker) / wall(this)`.
-    pub speedup_wall: f64,
-}
-
-/// Repeats per fabric scaling point (odd, so the median is one sample).
-pub const FABRIC_REPEATS: usize = 3;
-
-/// Measures one fabric scaling sample: the `SUPERBLOCK_HIGHLIGHT_BENCHES`
-/// at `Scale::Large`, paper-default config, `workers` fabric workers.
-/// Returns the median-of-`FABRIC_REPEATS` wall seconds for the pair.
-pub fn fabric_highlight_wall(workers: usize) -> f64 {
-    let mut walls = Vec::new();
-    for _ in 0..FABRIC_REPEATS {
-        let mut wall = 0.0;
-        for name in SUPERBLOCK_HIGHLIGHT_BENCHES {
-            let w = vta_workloads::by_name(name, Scale::Large).expect("benchmark exists");
-            let mut sys = System::new(VirtualArchConfig::paper_default(), &w.image);
-            sys.set_fabric_workers(workers);
-            let started = Instant::now();
-            sys.run(crate::RUN_BUDGET).expect("benchmark runs");
-            wall += started.elapsed().as_secs_f64();
-        }
-        walls.push(wall);
-    }
-    walls.sort_by(|a, b| a.partial_cmp(b).expect("finite walls"));
-    walls[walls.len() / 2]
-}
-
-/// Renders the scaling experiment as `BENCH_parallel.json`.
-///
-/// `host` describes the machine the numbers were measured on (core
-/// count matters: speedup is bounded by physical parallelism);
-/// `fabric` is the fabric-worker trajectory measured by
-/// [`fabric_highlight_wall`]; `fingerprints_unchanged` asserts that
-/// every thread count AND fabric worker count reproduced identical
-/// simulated fingerprints — the writer must have verified it.
-pub fn render_parallel_json(
-    host: &str,
-    points: &[ParallelPoint],
-    fabric: &[FabricPoint],
-    fingerprints_unchanged: bool,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"experiment\": \"fig5_sweep_parallel\",");
-    let _ = writeln!(out, "  \"scale\": \"test\",");
-    let _ = writeln!(out, "  \"host\": \"{host}\",");
-    let _ = writeln!(
-        out,
-        "  \"fingerprints_unchanged\": {fingerprints_unchanged},"
-    );
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{ \"threads\": {}, \"wall_seconds\": {:.3}, \"cpu_seconds\": {:.3}, \
-             \"speedup_wall\": {:.2} }}{comma}",
-            p.threads, p.wall_seconds, p.cpu_seconds, p.speedup_wall
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"fabric_points\": [");
-    for (i, p) in fabric.iter().enumerate() {
-        let comma = if i + 1 == fabric.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{ \"fabric_workers\": {}, \"wall_seconds\": {:.3}, \
-             \"speedup_wall\": {:.2} }}{comma}",
-            p.workers, p.wall_seconds, p.speedup_wall
-        );
-    }
-    let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");
     out
 }
@@ -697,8 +485,8 @@ pub fn superblock_highlights() -> Vec<SuperblockHighlight> {
 /// Renders the superblock A/B matrix as `BENCH_superblock.json`.
 ///
 /// `fingerprints_unchanged` attests that the paper-default fingerprints
-/// (superblocks on) were re-derived at several host thread counts and
-/// matched bit for bit — the writer must have verified it.
+/// (superblocks on) were re-derived and matched the frozen
+/// `BENCH_dispatch.json` — the writer must have verified it.
 pub fn render_superblock_json(
     cells: &[SuperblockCell],
     highlights: &[SuperblockHighlight],
@@ -830,144 +618,6 @@ pub fn render_superblock_json(
     out
 }
 
-/// Reads one `"key": <number>` field out of a flat JSON object body.
-fn num_field(obj: &str, key: &str) -> Result<f64, String> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat).ok_or_else(|| format!("missing {key:?}"))?;
-    let rest = obj[at + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|e| format!("bad number for {key:?}: {e}"))
-}
-
-/// Extracts the scaling points from a `BENCH_parallel.json` document.
-///
-/// # Errors
-///
-/// Returns a message if the `points` array is missing or malformed.
-pub fn parse_parallel(json: &str) -> Result<Vec<ParallelPoint>, String> {
-    let key = "\"points\"";
-    let start = json.find(key).ok_or_else(|| format!("{key} not found"))?;
-    let rest = &json[start + key.len()..];
-    let open = rest.find('[').ok_or("no '[' after points")?;
-    let close = rest[open..].find(']').ok_or("no closing ']'")? + open;
-    let body = &rest[open + 1..close];
-    let mut out = Vec::new();
-    for obj in body.split('}') {
-        let obj = obj.trim().trim_start_matches(',').trim();
-        if obj.is_empty() {
-            continue;
-        }
-        out.push(ParallelPoint {
-            threads: num_field(obj, "threads")? as usize,
-            wall_seconds: num_field(obj, "wall_seconds")?,
-            cpu_seconds: num_field(obj, "cpu_seconds")?,
-            speedup_wall: num_field(obj, "speedup_wall")?,
-        });
-    }
-    if out.is_empty() {
-        return Err("empty points array".to_string());
-    }
-    Ok(out)
-}
-
-/// Extracts the fabric-worker scaling points from a
-/// `BENCH_parallel.json` document.
-///
-/// # Errors
-///
-/// Returns a message if the `fabric_points` array is missing or
-/// malformed.
-pub fn parse_fabric_points(json: &str) -> Result<Vec<FabricPoint>, String> {
-    let key = "\"fabric_points\"";
-    let start = json.find(key).ok_or_else(|| format!("{key} not found"))?;
-    let rest = &json[start + key.len()..];
-    let open = rest.find('[').ok_or("no '[' after fabric_points")?;
-    let close = rest[open..].find(']').ok_or("no closing ']'")? + open;
-    let body = &rest[open + 1..close];
-    let mut out = Vec::new();
-    for obj in body.split('}') {
-        let obj = obj.trim().trim_start_matches(',').trim();
-        if obj.is_empty() {
-            continue;
-        }
-        out.push(FabricPoint {
-            workers: num_field(obj, "fabric_workers")? as usize,
-            wall_seconds: num_field(obj, "wall_seconds")?,
-            speedup_wall: num_field(obj, "speedup_wall")?,
-        });
-    }
-    if out.is_empty() {
-        return Err("empty fabric_points array".to_string());
-    }
-    Ok(out)
-}
-
-/// Validates a `BENCH_parallel.json` document's internal consistency
-/// (shape, required thread counts, positive times, speedups that match
-/// their own wall-clock numbers, and the fingerprint attestation).
-///
-/// Deliberately does NOT compare against re-measured times: wall-clock
-/// is host-dependent, so CI validates the artifact, not the machine.
-///
-/// # Errors
-///
-/// Returns a description of the first inconsistency found.
-pub fn validate_parallel(json: &str) -> Result<(), String> {
-    if !json.contains("\"fingerprints_unchanged\": true") {
-        return Err("fingerprints_unchanged is not attested true".into());
-    }
-    let points = parse_parallel(json)?;
-    for want in [1usize, 2, 4, 8] {
-        if !points.iter().any(|p| p.threads == want) {
-            return Err(format!("missing point for {want} threads"));
-        }
-    }
-    let base = points
-        .iter()
-        .find(|p| p.threads == 1)
-        .expect("checked above");
-    for p in &points {
-        if p.wall_seconds <= 0.0 || p.cpu_seconds <= 0.0 {
-            return Err(format!("non-positive time at {} threads", p.threads));
-        }
-        let derived = base.wall_seconds / p.wall_seconds;
-        // The file rounds to 2 decimals; allow that plus slack.
-        if (derived - p.speedup_wall).abs() > 0.02 * derived.max(1.0) + 0.01 {
-            return Err(format!(
-                "speedup_wall at {} threads is {:.2} but wall ratio is {derived:.2}",
-                p.threads, p.speedup_wall
-            ));
-        }
-    }
-    let fabric = parse_fabric_points(json)?;
-    for want in [1usize, 2] {
-        if !fabric.iter().any(|p| p.workers == want) {
-            return Err(format!("missing fabric point for {want} workers"));
-        }
-    }
-    let fbase = fabric
-        .iter()
-        .find(|p| p.workers == 1)
-        .expect("checked above");
-    for p in &fabric {
-        if p.wall_seconds <= 0.0 {
-            return Err(format!("non-positive wall at {} fabric workers", p.workers));
-        }
-        let derived = fbase.wall_seconds / p.wall_seconds;
-        if (derived - p.speedup_wall).abs() > 0.02 * derived.max(1.0) + 0.01 {
-            return Err(format!(
-                "speedup_wall at {} fabric workers is {:.2} but wall ratio is {derived:.2}",
-                p.workers, p.speedup_wall
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Extracts the `(benchmark, cycles)` pairs from the
 /// `"paper_default_cycles"` section of a `BENCH_dispatch.json` document.
 ///
@@ -1051,77 +701,6 @@ mod tests {
         assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
     }
 
-    #[test]
-    fn parallel_json_round_trips_and_validates() {
-        let points = vec![
-            ParallelPoint {
-                threads: 1,
-                wall_seconds: 8.0,
-                cpu_seconds: 7.9,
-                speedup_wall: 1.0,
-            },
-            ParallelPoint {
-                threads: 2,
-                wall_seconds: 4.2,
-                cpu_seconds: 8.0,
-                speedup_wall: 8.0 / 4.2,
-            },
-            ParallelPoint {
-                threads: 4,
-                wall_seconds: 2.4,
-                cpu_seconds: 8.4,
-                speedup_wall: 8.0 / 2.4,
-            },
-            ParallelPoint {
-                threads: 8,
-                wall_seconds: 2.2,
-                cpu_seconds: 8.9,
-                speedup_wall: 8.0 / 2.2,
-            },
-        ];
-        let fabric = vec![
-            FabricPoint {
-                workers: 1,
-                wall_seconds: 6.0,
-                speedup_wall: 1.0,
-            },
-            FabricPoint {
-                workers: 2,
-                wall_seconds: 3.5,
-                speedup_wall: 6.0 / 3.5,
-            },
-        ];
-        let s = render_parallel_json("test host, 8 cores", &points, &fabric, true);
-        crate::json_lint::check(&s).expect("valid JSON");
-        let parsed = parse_parallel(&s).expect("parses");
-        assert_eq!(parsed.len(), 4);
-        assert_eq!(parsed[0].threads, 1);
-        assert!((parsed[2].wall_seconds - 2.4).abs() < 1e-9);
-        let fparsed = parse_fabric_points(&s).expect("fabric points parse");
-        assert_eq!(fparsed.len(), 2);
-        assert_eq!(fparsed[1].workers, 2);
-        assert!((fparsed[1].wall_seconds - 3.5).abs() < 1e-9);
-        validate_parallel(&s).expect("internally consistent");
-        // Tampered speedup must be caught.
-        let bad = s.replace("\"speedup_wall\": 3.33", "\"speedup_wall\": 9.99");
-        assert!(validate_parallel(&bad).is_err());
-        // Missing attestation must be caught.
-        let bad = s.replace(
-            "\"fingerprints_unchanged\": true",
-            "\"fingerprints_unchanged\": false",
-        );
-        assert!(validate_parallel(&bad).is_err());
-        // Tampered fabric speedup must be caught.
-        let bad = s.replace("\"speedup_wall\": 1.71", "\"speedup_wall\": 4.00");
-        assert!(validate_parallel(&bad).is_err());
-        // A document without the fabric trajectory must be rejected.
-        let fab_at = s.find("  \"fabric_points\"").expect("section present");
-        let mut bad = s[..fab_at].trim_end().trim_end_matches(',').to_string();
-        bad.push_str("\n}\n");
-        crate::json_lint::check(&bad).expect("still valid JSON");
-        assert!(validate_parallel(&bad).is_err());
-    }
-
     fn sb_cell(
         bench: &str,
         opt: &'static str,
@@ -1202,42 +781,6 @@ mod tests {
         cells[2].guest_insns = 1001;
         let err = superblock_reconciles(&cells).expect_err("drift must be caught");
         assert!(err.contains("recorded"), "{err}");
-    }
-
-    #[test]
-    fn host_pools_summary_is_one_section() {
-        assert_eq!(host_pools_summary(1, 1, None, None), "");
-        let hp = HostPerf {
-            submitted: 10,
-            translated: 9,
-            failed: 1,
-            hits: 5,
-            stale: 1,
-            misses: 2,
-            steals: 3,
-            discarded: 0,
-        };
-        let fp = FabricPerf {
-            submitted: 4,
-            translated: 4,
-            failed: 0,
-            hits: 2,
-            waited: 1,
-            reclaimed: 1,
-            stale: 0,
-            misses: 1,
-            discarded: 0,
-            exchanges: 7,
-        };
-        let s = host_pools_summary(4, 2, Some(&hp), Some(&fp));
-        assert!(s.starts_with("host pools"), "{s}");
-        assert!(s.contains("host   (4 threads): 10 submitted"), "{s}");
-        assert!(s.contains("fabric (2 workers): 4 submitted"), "{s}");
-        assert!(s.contains("7 exchanges"), "{s}");
-        // One pool alone still renders under the same section header.
-        let only = host_pools_summary(4, 1, Some(&hp), None);
-        assert!(only.starts_with("host pools"), "{only}");
-        assert!(!only.contains("fabric ("), "{only}");
     }
 
     #[test]

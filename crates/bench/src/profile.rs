@@ -4,9 +4,9 @@
 //! The [`crate::perf`] module tracks *aggregate* host throughput (wall
 //! seconds for whole sweeps); this module answers *where the wall time
 //! goes*: it runs one benchmark with span profiling enabled, renders a
-//! per-thread top-phases breakdown, attributes the simulated-side
-//! manager's busy cycles to its four duties, and emits the
-//! `BENCH_profile.json` trajectory artifact.
+//! top-phases breakdown, attributes the simulated-side manager's busy
+//! cycles to its four duties, and emits the `BENCH_profile.json`
+//! trajectory artifact.
 //!
 //! Two invariants, inherited from the profiler itself:
 //!
@@ -14,8 +14,8 @@
 //!    series — they are host-scheduling-dependent by nature.
 //! 2. Manager attribution goes the other way: it is derived entirely
 //!    from deterministic simulated counters (`manager.*` in
-//!    [`vta_sim::Stats`]), so it is bit-identical across host thread
-//!    and fabric worker counts.
+//!    [`vta_sim::Stats`]), so it is as deterministic as the simulation
+//!    and identical with profiling on or off.
 //!
 //! Everything rendered here is hand-rolled text/JSON (the workspace has
 //! a zero-external-dependency policy).
@@ -23,15 +23,14 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use vta_dbt::{ManagerShardReport, System, VirtualArchConfig};
+use vta_dbt::{System, VirtualArchConfig};
 use vta_sim::{ProfConfig, ProfileReport, Stats, TraceConfig, Tracer};
 use vta_workloads::Scale;
 
 /// The simulated manager tile's busy cycles, attributed to its four
 /// duties. Derived from the deterministic `manager.*` counters in
 /// [`Stats`], so — unlike everything else profiling-related — these
-/// numbers are part of the fingerprinted state and identical at every
-/// host thread / fabric worker count.
+/// numbers are part of the fingerprinted state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ManagerActivity {
     /// Cycles assigning translation jobs to translator tiles
@@ -101,16 +100,6 @@ pub struct ProfiledRun {
     pub bench: String,
     /// Scale label (`"test"` / `"large"`).
     pub scale: &'static str,
-    /// Host translator threads the system ran with.
-    pub host_threads: usize,
-    /// Fabric worker partitions the system ran with.
-    pub fabric_workers: usize,
-    /// Manager service shards the system ran with (attribution only:
-    /// every deterministic field below is identical at every count).
-    pub manager_shards: usize,
-    /// Per-shard manager duty attribution, slave load, and L2
-    /// residency (deterministic for a given shard count).
-    pub shards: ManagerShardReport,
     /// Simulated cycles (deterministic).
     pub cycles: u64,
     /// Guest instructions retired (deterministic).
@@ -131,20 +120,10 @@ pub struct ProfiledRun {
 /// # Panics
 ///
 /// Panics if the benchmark is unknown or the guest faults.
-pub fn profile_benchmark(
-    bench: &str,
-    scale: Scale,
-    host_threads: usize,
-    fabric_workers: usize,
-    manager_shards: usize,
-    trace_capacity: usize,
-) -> ProfiledRun {
+pub fn profile_benchmark(bench: &str, scale: Scale, trace_capacity: usize) -> ProfiledRun {
     let w =
         vta_workloads::by_name(bench, scale).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
     let mut sys = System::new(VirtualArchConfig::paper_default(), &w.image);
-    sys.set_host_threads(host_threads);
-    sys.set_fabric_workers(fabric_workers);
-    sys.set_manager_shards(manager_shards);
     sys.enable_tracing(TraceConfig {
         capacity: trace_capacity,
     });
@@ -156,7 +135,6 @@ pub fn profile_benchmark(
     let wall_seconds = started.elapsed().as_secs_f64();
     let profile = sys.take_profile();
     let tracer = sys.take_tracer();
-    let shards = sys.manager_shard_report();
     ProfiledRun {
         bench: bench.to_string(),
         scale: match scale {
@@ -164,10 +142,6 @@ pub fn profile_benchmark(
             Scale::Small => "small",
             Scale::Large => "large",
         },
-        host_threads,
-        fabric_workers,
-        manager_shards: sys.manager_shards(),
-        shards,
         cycles: report.cycles,
         guest_insns: report.guest_insns,
         wall_seconds,
@@ -256,48 +230,6 @@ pub fn manager_report(m: &ManagerActivity) -> String {
     out
 }
 
-/// Renders the per-shard manager attribution: duty cycles, handoffs,
-/// slave load, and L2 residency per column stripe, plus the per-shard
-/// max occupancy — the height of the serialization point after
-/// sharding (compare against the single-shard aggregate).
-pub fn shard_report(shards: &ManagerShardReport, total_cycles: u64) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== manager shards ({} × column stripes, shared service ring) ==",
-        shards.shards.len()
-    );
-    let denom = total_cycles.max(1) as f64;
-    for (i, s) in shards.shards.iter().enumerate() {
-        let (x0, x1) = shards.columns.get(i).copied().unwrap_or((0, 0));
-        let _ = writeln!(
-            out,
-            "  shard {i} cols {x0}..{x1}: service {:>10}  dram_wait {:>10}  \
-             commit {:>9}  assign {:>9}  busy {:>5.1}%  reqs {:>7}  handoffs {:>6}",
-            s.service_cycles,
-            s.dram_wait_cycles,
-            s.commit_cycles,
-            s.assign_cycles,
-            s.busy_cycles() as f64 * 100.0 / denom,
-            s.requests,
-            s.handoffs_in,
-        );
-        let (sb, sc) = shards.slave_load.get(i).copied().unwrap_or((0, 0));
-        let (lb, lby) = shards.l2_residency.get(i).copied().unwrap_or((0, 0));
-        let _ = writeln!(
-            out,
-            "          slaves busy {sb} cycles / {sc} blocks; l2 {lb} blocks / {lby} bytes"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  per-shard max busy: {} cycles ({:.1}% occupancy)",
-        shards.max_busy_cycles(),
-        shards.max_busy_cycles() as f64 * 100.0 / denom
-    );
-    out
-}
-
 /// Renders a [`ProfiledRun`] as the `BENCH_profile.json` document.
 ///
 /// The manager section is deterministic; the `wall_seconds` and
@@ -310,9 +242,6 @@ pub fn render_profile_json(r: &ProfiledRun) -> String {
     let _ = writeln!(out, "  \"experiment\": \"host_profile\",");
     let _ = writeln!(out, "  \"bench\": \"{}\",", r.bench);
     let _ = writeln!(out, "  \"scale\": \"{}\",", r.scale);
-    let _ = writeln!(out, "  \"host_threads\": {},", r.host_threads);
-    let _ = writeln!(out, "  \"fabric_workers\": {},", r.fabric_workers);
-    let _ = writeln!(out, "  \"manager_shards\": {},", r.manager_shards);
     let _ = writeln!(out, "  \"host_dependent\": true,");
     let _ = writeln!(out, "  \"cycles\": {},", r.cycles);
     let _ = writeln!(out, "  \"guest_insns\": {},", r.guest_insns);
@@ -327,45 +256,6 @@ pub fn render_profile_json(r: &ProfiledRun) -> String {
     let _ = writeln!(out, "    \"busy_cycles\": {},", m.busy_cycles());
     let _ = writeln!(out, "    \"occupancy\": {:.4}", m.occupancy());
     let _ = writeln!(out, "  }},");
-    let denom = r.cycles.max(1) as f64;
-    let _ = writeln!(out, "  \"shards\": [");
-    for (i, s) in r.shards.shards.iter().enumerate() {
-        let comma = if i + 1 == r.shards.shards.len() {
-            ""
-        } else {
-            ","
-        };
-        let (x0, x1) = r.shards.columns.get(i).copied().unwrap_or((0, 0));
-        let (slave_busy, slave_completed) = r.shards.slave_load.get(i).copied().unwrap_or((0, 0));
-        let (l2_blocks, l2_bytes) = r.shards.l2_residency.get(i).copied().unwrap_or((0, 0));
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"shard\": {i},");
-        let _ = writeln!(out, "      \"columns\": [{x0}, {x1}],");
-        let _ = writeln!(out, "      \"service_cycles\": {},", s.service_cycles);
-        let _ = writeln!(out, "      \"dram_wait_cycles\": {},", s.dram_wait_cycles);
-        let _ = writeln!(out, "      \"commit_cycles\": {},", s.commit_cycles);
-        let _ = writeln!(out, "      \"assign_cycles\": {},", s.assign_cycles);
-        let _ = writeln!(out, "      \"morph_cycles\": {},", s.morph_cycles);
-        let _ = writeln!(out, "      \"requests\": {},", s.requests);
-        let _ = writeln!(out, "      \"handoffs_in\": {},", s.handoffs_in);
-        let _ = writeln!(out, "      \"busy_cycles\": {},", s.busy_cycles());
-        let _ = writeln!(
-            out,
-            "      \"occupancy\": {:.4},",
-            s.busy_cycles() as f64 / denom
-        );
-        let _ = writeln!(out, "      \"slave_busy_cycles\": {slave_busy},");
-        let _ = writeln!(out, "      \"slave_completed\": {slave_completed},");
-        let _ = writeln!(out, "      \"l2_blocks\": {l2_blocks},");
-        let _ = writeln!(out, "      \"l2_bytes\": {l2_bytes}");
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"per_shard_max_occupancy\": {:.4},",
-        r.shards.max_busy_cycles() as f64 / denom
-    );
     let _ = writeln!(out, "  \"threads\": [");
     for (i, t) in r.profile.threads.iter().enumerate() {
         let comma = if i + 1 == r.profile.threads.len() {
@@ -486,35 +376,9 @@ mod tests {
         stats.add("manager.service_cycles", 400);
         stats.add("manager.morph_cycles", 100);
         stats.add("manager.dram_wait_cycles", 50);
-        let shards = ManagerShardReport {
-            shards: vec![
-                vta_dbt::ShardDuty {
-                    service_cycles: 250,
-                    dram_wait_cycles: 50,
-                    commit_cycles: 200,
-                    assign_cycles: 300,
-                    morph_cycles: 100,
-                    requests: 3,
-                    handoffs_in: 0,
-                },
-                vta_dbt::ShardDuty {
-                    service_cycles: 150,
-                    requests: 2,
-                    handoffs_in: 2,
-                    ..Default::default()
-                },
-            ],
-            columns: vec![(0, 2), (2, 4)],
-            slave_load: vec![(900, 7), (300, 2)],
-            l2_residency: vec![(5, 640), (4, 512)],
-        };
         ProfiledRun {
             bench: "crafty".to_string(),
             scale: "test",
-            host_threads: 2,
-            fabric_workers: 1,
-            manager_shards: 2,
-            shards,
             cycles: 10_000,
             guest_insns: 5_000,
             wall_seconds: 0.002,
@@ -560,22 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_report_shows_per_shard_peak() {
-        let r = sample_run();
-        let s = shard_report(&r.shards, r.cycles);
-        assert!(s.contains("shard 0 cols 0..2"), "{s}");
-        assert!(s.contains("shard 1 cols 2..4"), "{s}");
-        assert!(s.contains("handoffs      2"), "{s}");
-        assert!(s.contains("slaves busy 900 cycles / 7 blocks"), "{s}");
-        assert!(s.contains("l2 4 blocks / 512 bytes"), "{s}");
-        // Shard 0 is the peak: 250+200+300+100 = 850 busy cycles = 8.5%.
-        assert!(
-            s.contains("per-shard max busy: 850 cycles (8.5% occupancy)"),
-            "{s}"
-        );
-    }
-
-    #[test]
     fn profile_json_is_valid_and_complete() {
         let s = render_profile_json(&sample_run());
         crate::json_lint::check(&s).expect("valid JSON");
@@ -586,15 +434,6 @@ mod tests {
         assert!(s.contains("\"occupancy\": 0.1000"));
         assert!(s.contains("\"phase\": \"run.dispatch\""));
         assert!(s.contains("\"dropped_events\": 3"));
-        // Per-shard section: both shards, their stripes, handoffs, and
-        // the partitioned slave/L2 views.
-        assert!(s.contains("\"manager_shards\": 2"));
-        assert!(s.contains("\"shard\": 1"));
-        assert!(s.contains("\"columns\": [2, 4]"));
-        assert!(s.contains("\"handoffs_in\": 2"));
-        assert!(s.contains("\"slave_busy_cycles\": 900"));
-        assert!(s.contains("\"l2_bytes\": 512"));
-        assert!(s.contains("\"per_shard_max_occupancy\": 0.0850"));
     }
 
     // A real (tiny) profiled run: deterministic fields must match an
@@ -602,7 +441,7 @@ mod tests {
     // actually contain the coordinator thread.
     #[test]
     fn profiled_run_matches_unprofiled_simulation() {
-        let r = profile_benchmark("gzip", Scale::Test, 1, 1, 2, 1024);
+        let r = profile_benchmark("gzip", Scale::Test, 1024);
         let w = vta_workloads::by_name("gzip", Scale::Test).unwrap();
         let mut plain = System::new(VirtualArchConfig::paper_default(), &w.image);
         let report = plain.run(crate::RUN_BUDGET).expect("gzip runs");
@@ -613,13 +452,6 @@ mod tests {
             ManagerActivity::from_stats(&report.stats, report.cycles),
             "manager attribution is deterministic"
         );
-        assert_eq!(r.manager_shards, 2);
-        // The per-shard duty sums telescope exactly to the aggregate
-        // counters, DRAM wait included.
-        let svc: u64 = r.shards.shards.iter().map(|s| s.service_cycles).sum();
-        let wait: u64 = r.shards.shards.iter().map(|s| s.dram_wait_cycles).sum();
-        assert_eq!(svc, r.manager.service_cycles);
-        assert_eq!(wait, r.manager.dram_wait_cycles);
         if cfg!(feature = "prof") {
             assert!(
                 r.profile.threads.iter().any(|t| t.name == "run"),

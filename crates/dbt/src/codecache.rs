@@ -499,9 +499,8 @@ impl L2Code {
     /// new block (105 MB never fills in practice).
     ///
     /// This is the single point where translations become visible to the
-    /// simulation, and it is only ever reached from the coordinating
-    /// thread in canonical commit order (see [`crate::slave`]) — host
-    /// worker threads feed blocks *to* the coordinator, never in here.
+    /// simulation, and it is only ever reached in canonical commit order
+    /// (see [`crate::slave`]).
     pub fn commit(&mut self, block: Arc<TBlock>) {
         self.in_flight.remove(&block.guest_addr);
         let bytes = block.host_bytes() as u64;
@@ -543,23 +542,6 @@ impl L2Code {
     /// Bytes committed.
     pub fn used_bytes(&self) -> u64 {
         self.used
-    }
-
-    /// Per-shard view of committed residency: `(blocks, bytes)` summed
-    /// over the guest addresses each shard owns. `owner` maps a guest
-    /// address to its shard index (out-of-range indices are clamped to
-    /// the last shard). Host-side reporting only — never feeds back
-    /// into timing, and deliberately iterates the HashMap without an
-    /// order guarantee because addition commutes.
-    pub fn shard_residency<F: Fn(u32) -> usize>(&self, shards: usize, owner: F) -> Vec<(u64, u64)> {
-        let n = shards.max(1);
-        let mut res = vec![(0u64, 0u64); n];
-        for (&addr, b) in &self.blocks {
-            let i = owner(addr).min(n - 1);
-            res[i].0 += 1;
-            res[i].1 += b.host_bytes() as u64;
-        }
-        res
     }
 }
 

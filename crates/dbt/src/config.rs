@@ -142,10 +142,10 @@ pub struct VirtualArchConfig {
     /// successor) marks its target, a slave retranslates it as a
     /// multi-block region along the predicted path in the background,
     /// and the commit swaps it in for the resident single-block
-    /// translation. Ordinary (demand/speculative/host-pool)
-    /// translation always stays single-block; the triggers are purely
-    /// architectural, so the knob never perturbs determinism. Only
-    /// effective at [`OptLevel::Full`]; see [`Self::region_limits`].
+    /// translation. Ordinary (demand/speculative) translation always
+    /// stays single-block; the triggers are purely architectural, so
+    /// the knob never perturbs determinism. Only effective at
+    /// [`OptLevel::Full`]; see [`Self::region_limits`].
     pub superblock: bool,
     /// Whether promoted addresses go through a runtime *recording* pass
     /// before their region is formed: the promotion trigger arms a
@@ -245,9 +245,8 @@ impl VirtualArchConfig {
     }
 
     /// The region-formation limits all translation in this configuration
-    /// uses (inline demand translation, speculative slaves, and the host
-    /// translation pool must agree or host-produced blocks would diverge
-    /// from inline ones).
+    /// uses (inline demand translation and the speculative slaves, and
+    /// the key a [`crate::SharedTranslations`] memo must match).
     pub fn region_limits(&self) -> RegionLimits {
         if self.superblock {
             RegionLimits::for_opt(self.opt)

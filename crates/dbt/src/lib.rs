@@ -44,9 +44,6 @@
 
 pub mod codecache;
 pub mod config;
-pub mod fabric;
-pub mod host;
-pub mod manager;
 pub mod memsys;
 pub mod morph;
 pub mod shared;
@@ -56,9 +53,6 @@ pub mod system;
 pub mod timing;
 
 pub use config::{MorphConfig, Placement, VirtualArchConfig};
-pub use fabric::{FabricPerf, FabricTranslators};
-pub use host::{HostPerf, HostTranslators};
-pub use manager::{ManagerDuty, ManagerShardReport, ManagerShards, ShardDuty};
 pub use shared::SharedTranslations;
 pub use system::{RunReport, StopCause, System, SystemError};
 pub use timing::Timing;

@@ -43,9 +43,9 @@ struct Entry {
 ///
 /// Entries are `Arc`ed so a consult holds the map lock only for the
 /// probe; the byte re-validation against the caller's live memory runs
-/// outside it. With host worker threads (see [`crate::host`]) many
-/// systems hammer this memo concurrently, and validation is the long
-/// part of a consult.
+/// outside it. In a parallel sweep the cells of one benchmark consult
+/// this memo concurrently, and validation is the long part of a
+/// consult.
 pub struct SharedTranslations {
     opt: OptLevel,
     limits: RegionLimits,

@@ -26,9 +26,6 @@ use vta_x86::{GuestImage, GuestMem, SysState, SyscallResult};
 
 use crate::codecache::{BlockHandle, L15Bank, L1Code, L2Code};
 use crate::config::VirtualArchConfig;
-use crate::fabric::{FabricPerf, FabricTranslators};
-use crate::host::{HostPerf, HostTranslators};
-use crate::manager::{ManagerDuty, ManagerShardReport, ManagerShards};
 use crate::memsys::MemSys;
 use crate::morph::{MorphAction, MorphManager};
 use crate::shared::SharedTranslations;
@@ -125,13 +122,11 @@ pub struct System {
     pool: SlavePool,
     memsys: MemSys,
     dram: Dram,
-    /// The manager's service state, sharded by fabric partition over a
-    /// shared service ring (see [`crate::manager`]). Replaces the
-    /// historical scalar `manager_next_free`: the ring clock keeps its
-    /// exact timing semantics, the shards carry per-partition duty
-    /// attribution. Shard count defaults to `VTA_MANAGER_SHARDS`,
-    /// else 1.
-    mgr: ManagerShards,
+    /// The manager's service ring: the next cycle its software loop is
+    /// free. Every manager duty (L2 lookup, SMC walk, commit, assign)
+    /// starts at `max(arrival, manager_free)` and moves it to the end
+    /// of its window, so they serialize on the one tile.
+    manager_free: Cycle,
     morph: Option<MorphManager>,
     stats: Stats,
     guest_insns: u64,
@@ -145,8 +140,7 @@ pub struct System {
     /// targets and capped-region continuations observed at dispatch. All
     /// other translations stay single-block, so regions cover only the
     /// measured hot path. The trigger is architectural (which branches
-    /// executed), never host timing, so promotion is deterministic and
-    /// thread-count invariant.
+    /// executed), never host timing, so promotion is deterministic.
     promoted: HashSet<u32>,
     /// Promoted addresses whose region translation has not committed
     /// yet. The resident single-block translation keeps executing while
@@ -173,21 +167,6 @@ pub struct System {
     pinned: HashSet<u32>,
     /// Optional cross-system translation memo (sweeps).
     shared: Option<Arc<SharedTranslations>>,
-    /// Host worker threads running the translator ahead of the
-    /// simulator (`None` when `host_threads == 1`; see [`crate::host`]).
-    host: Option<HostTranslators>,
-    /// Requested host parallelism (coordinator + `host_threads - 1`
-    /// workers). Defaults to `VTA_HOST_THREADS`, else 1.
-    host_threads: usize,
-    /// Epoch-parallel fabric workers: the grid partitioned into column
-    /// stripes, one host worker per partition building region-shaped
-    /// translations, exchanging with the coordinator at epoch
-    /// boundaries (`None` when `fabric_workers == 1`; see
-    /// [`crate::fabric`]).
-    fabric: Option<FabricTranslators>,
-    /// Requested fabric partition count. Defaults to
-    /// `VTA_FABRIC_WORKERS`, else 1 (the serial fabric).
-    fabric_workers: usize,
     /// Cycle-accurate event recorder (disabled unless
     /// [`System::enable_tracing`] is called; recording never changes
     /// simulated time).
@@ -207,15 +186,13 @@ pub struct System {
     /// domain: host-side only, never folded into [`RunReport::stats`],
     /// the metrics series, or any fingerprinted output.
     profiler: Profiler,
-    /// The run loop's own span recorder (the `"run"` thread in the
-    /// profile); worker pools carry their own.
+    /// The run loop's span recorder (the `"run"` thread in the
+    /// profile).
     prof_thread: ThreadProf,
 }
 
-/// Gauge ids registered with the metrics recorder. The simulated gauges
-/// are registered at [`System::enable_metrics`] time; host-pool gauges
-/// join when the worker pool spawns (serial runs never register them, so
-/// single-thread series stay free of host-scheduling-dependent columns).
+/// Gauge ids registered with the metrics recorder at
+/// [`System::enable_metrics`] time.
 #[derive(Debug, Clone, Default)]
 struct Gauges {
     /// Total pending speculative-translation requests.
@@ -226,10 +203,6 @@ struct Gauges {
     translators: GaugeId,
     /// Live L2 data banks (morph role occupancy, cache side).
     l2_banks: GaugeId,
-    /// Host-pool counters in [`HostPerf`] field order.
-    host: Vec<GaugeId>,
-    /// Live entries per host work-queue shard.
-    host_shards: Vec<GaugeId>,
 }
 
 /// One recording pass in progress: the promoted root it started at and
@@ -296,7 +269,7 @@ impl System {
             pool: SlavePool::new(&cfg.placement.slaves),
             memsys: MemSys::new(&cfg.placement.l2_banks, cfg.l2_bank_bytes),
             dram: Dram::new(timing.dram_latency, timing.dram_word),
-            mgr: ManagerShards::new(cfg.width, cfg.placement.manager, manager_shards_from_env()),
+            manager_free: Cycle::ZERO,
             morph: cfg
                 .morph
                 .map(|m| MorphManager::new(m, min_banks, max_banks.max(min_banks))),
@@ -314,10 +287,6 @@ impl System {
             re_recorded: HashSet::new(),
             pinned: HashSet::new(),
             shared: None,
-            host: None,
-            host_threads: host_threads_from_env(),
-            fabric: None,
-            fabric_workers: fabric_workers_from_env(),
             tracer: Tracer::disabled(),
             trk: Trk::default(),
             tile_tracks: Vec::new(),
@@ -394,12 +363,11 @@ impl System {
 
     /// Turns on windowed metrics sampling (call before [`System::run`]).
     ///
-    /// Registers the simulated gauges (queue depths, role occupancy);
-    /// host-pool gauges are added when the worker pool spawns. Like the
-    /// tracer, the recorder is a pure observer: a window closes whenever
-    /// the simulated clock crosses a grid boundary, the snapshot handed
-    /// in is state the simulator already computed, and nothing is ever
-    /// read back, so simulated cycles and [`Stats`] are bit-identical
+    /// Registers the simulated gauges (queue depths, role occupancy).
+    /// Like the tracer, the recorder is a pure observer: a window closes
+    /// whenever the simulated clock crosses a grid boundary, the snapshot
+    /// handed in is state the simulator already computed, and nothing is
+    /// ever read back, so simulated cycles and [`Stats`] are bit-identical
     /// with metrics on or off.
     pub fn enable_metrics(&mut self, mcfg: MetricsConfig) {
         self.metrics = Metrics::new(mcfg);
@@ -410,12 +378,7 @@ impl System {
                 .collect(),
             translators: self.metrics.gauge("pool.translators"),
             l2_banks: self.metrics.gauge("mem.l2_banks"),
-            host: Vec::new(),
-            host_shards: Vec::new(),
         };
-        if self.host.is_some() {
-            self.register_host_gauges();
-        }
     }
 
     /// The metrics recorder (empty and disabled unless
@@ -433,20 +396,16 @@ impl System {
     /// Turns on host wall-clock profiling (call before [`System::run`]).
     ///
     /// The profiler is the simulated machine's *second* clock domain:
-    /// it records what the host did — run-loop phases, worker-pool
-    /// activity — in wall nanoseconds, while the [`Tracer`] records
-    /// what the simulated machine did in cycles. Like the tracer and
-    /// the metrics recorder it is a pure observer: instrumented code
-    /// only reads the host clock and never branches on what it read,
-    /// so simulated cycles, [`Stats`], metrics series, and trace
-    /// events are bit-identical with profiling on or off.
+    /// it records what the host did — run-loop phases — in wall
+    /// nanoseconds, while the [`Tracer`] records what the simulated
+    /// machine did in cycles. Like the tracer and the metrics recorder
+    /// it is a pure observer: instrumented code only reads the host
+    /// clock and never branches on what it read, so simulated cycles,
+    /// [`Stats`], metrics series, and trace events are bit-identical
+    /// with profiling on or off.
     pub fn enable_profiling(&mut self, pcfg: ProfConfig) {
         self.profiler = Profiler::new(pcfg);
         self.prof_thread = self.profiler.thread("run");
-        // Pools spawned before this call carry disabled recorders;
-        // respawn them lazily at the next run() with live ones.
-        self.host = None;
-        self.fabric = None;
     }
 
     /// The profiling session handle (disabled unless
@@ -455,16 +414,9 @@ impl System {
         &self.profiler
     }
 
-    /// Finishes the profiling session and collects every thread's
+    /// Finishes the profiling session and collects the run loop's
     /// profile, leaving a disabled profiler behind.
-    ///
-    /// Joins the worker pools (their recorders flush on worker exit)
-    /// and flushes the run loop's own recorder first, so the report
-    /// covers every instrumented thread. Pools respawn lazily on the
-    /// next [`System::run`].
     pub fn take_profile(&mut self) -> ProfileReport {
-        self.host = None;
-        self.fabric = None;
         self.prof_thread = Default::default(); // replaced value flushes on drop
         let report = self.profiler.report();
         self.profiler = Profiler::disabled();
@@ -515,53 +467,7 @@ impl System {
         }
         v[self.gauges.translators.0 as usize] = self.pool.len() as u64;
         v[self.gauges.l2_banks.0 as usize] = self.memsys.banks.len() as u64;
-        if let Some(host) = &self.host {
-            let p = host.perf();
-            let fields = [
-                p.submitted,
-                p.translated,
-                p.failed,
-                p.hits,
-                p.stale,
-                p.misses,
-                p.steals,
-                p.discarded,
-            ];
-            for (g, val) in self.gauges.host.iter().zip(fields) {
-                v[g.0 as usize] = val;
-            }
-            for (g, len) in self.gauges.host_shards.iter().zip(host.queue_shard_lens()) {
-                v[g.0 as usize] = len as u64;
-            }
-        }
         v
-    }
-
-    /// Registers the host-pool gauge columns (worker-pool runs only).
-    /// Host-side occupancy depends on host scheduling, so these columns
-    /// exist only when a pool does — a serial run's series carries
-    /// nothing host-dependent.
-    fn register_host_gauges(&mut self) {
-        if !self.metrics.is_enabled() {
-            return;
-        }
-        self.gauges.host = [
-            "host.submitted",
-            "host.translated",
-            "host.failed",
-            "host.hits",
-            "host.stale",
-            "host.misses",
-            "host.steals",
-            "host.discarded",
-        ]
-        .iter()
-        .map(|n| self.metrics.gauge(n))
-        .collect();
-        let shards = self.host.as_ref().map_or(0, |h| h.queue_shard_lens().len());
-        self.gauges.host_shards = (0..shards)
-            .map(|i| self.metrics.gauge(&format!("host.q{i}.len")))
-            .collect();
     }
 
     /// Trace track of `tile` (default id when tracing is disabled).
@@ -579,163 +485,6 @@ impl System {
     pub fn attach_shared(&mut self, shared: Arc<SharedTranslations>) {
         if shared.opt() == self.cfg.opt && shared.limits() == self.cfg.region_limits() {
             self.shared = Some(shared);
-        }
-    }
-
-    /// Sets the host parallelism for subsequent [`System::run`] calls:
-    /// the coordinating thread plus `n - 1` translation workers.
-    ///
-    /// `n == 1` (the default, or `VTA_HOST_THREADS`) disables the worker
-    /// pool entirely — the historical serial path, byte for byte. Any
-    /// `n` produces bit-identical simulated cycles, stats, and trace
-    /// events; only host wall-clock changes.
-    pub fn set_host_threads(&mut self, n: usize) {
-        self.host_threads = n.max(1);
-        // Recreated lazily at the next run() with the new width.
-        self.host = None;
-    }
-
-    /// The configured host parallelism (see [`System::set_host_threads`]).
-    pub fn host_threads(&self) -> usize {
-        self.host_threads
-    }
-
-    /// Host-side worker-pool counters, if a pool is active. Kept apart
-    /// from [`RunReport::stats`] because they depend on host scheduling.
-    pub fn host_perf(&self) -> Option<HostPerf> {
-        self.host.as_ref().map(HostTranslators::perf)
-    }
-
-    /// Spawns the worker pool on first use when parallelism is enabled.
-    fn ensure_host_pool(&mut self) {
-        if self.host_threads > 1 && self.host.is_none() {
-            // The pool pre-translates the single-block shape only;
-            // promoted regions are rare and translated inline.
-            self.host = Some(HostTranslators::new(
-                self.host_threads - 1,
-                self.cfg.opt,
-                RegionLimits::single(),
-                &self.mem,
-                &self.profiler,
-            ));
-            self.register_host_gauges();
-        }
-    }
-
-    /// Sets the fabric partition count for subsequent [`System::run`]
-    /// calls: the grid is cut into that many column stripes, each with
-    /// a host worker building its slaves' region translations, joined
-    /// to the coordinator at epoch boundaries.
-    ///
-    /// `n == 1` (the default, or `VTA_FABRIC_WORKERS`) disables the
-    /// fabric pool — the serial path. Any `n` produces bit-identical
-    /// simulated cycles, stats, metrics series, and trace events; only
-    /// host wall-clock changes. Composes freely with
-    /// [`System::set_host_threads`]: the host pool owns single-block
-    /// shapes, the fabric pool owns region shapes.
-    pub fn set_fabric_workers(&mut self, n: usize) {
-        self.fabric_workers = n.max(1);
-        // Recreated lazily at the next run() with the new width.
-        self.fabric = None;
-    }
-
-    /// The configured fabric partition count
-    /// (see [`System::set_fabric_workers`]).
-    pub fn fabric_workers(&self) -> usize {
-        self.fabric_workers
-    }
-
-    /// Fabric-pool counters, if the pool is active. Host-side only —
-    /// never folded into [`RunReport::stats`] or the metrics series.
-    pub fn fabric_perf(&self) -> Option<FabricPerf> {
-        self.fabric.as_ref().map(FabricTranslators::perf)
-    }
-
-    /// Per-partition `(jobs in, commits out)` of the fabric pool, if
-    /// active (boundary-coverage telemetry for tests).
-    pub fn fabric_boundary_traffic(&self) -> Option<Vec<(u64, u64)>> {
-        self.fabric
-            .as_ref()
-            .map(FabricTranslators::boundary_traffic)
-    }
-
-    /// Sets the manager shard count for subsequent [`System::run`]
-    /// calls: the manager's service-loop state is split into that many
-    /// per-partition shards (see [`crate::manager`]), with cross-shard
-    /// attribution handed off only at epoch boundaries in canonical
-    /// order.
-    ///
-    /// `n == 1` (the default, or `VTA_MANAGER_SHARDS`) keeps the
-    /// aggregate single-shard view. Any `n` produces bit-identical
-    /// simulated cycles, stats, metrics series, and trace events — the
-    /// shards share one service-ring clock, so only the per-shard
-    /// attribution in [`System::manager_shard_report`] changes.
-    /// Rebuilds the shard layer, resetting its duty counters.
-    pub fn set_manager_shards(&mut self, n: usize) {
-        self.mgr = ManagerShards::new(self.cfg.width, self.cfg.placement.manager, n.max(1));
-    }
-
-    /// The configured manager shard count, clamped to the grid's
-    /// columns (see [`System::set_manager_shards`]).
-    pub fn manager_shards(&self) -> usize {
-        self.mgr.count()
-    }
-
-    /// Per-shard manager duty attribution, settled through the end of
-    /// the run (any handoffs still awaiting an epoch boundary are
-    /// folded in first). Host-side reporting only — never part of
-    /// [`RunReport::stats`] or any fingerprinted output; the per-shard
-    /// duty sums reconcile exactly with the aggregate `manager.*`
-    /// stats counters.
-    pub fn manager_shard_report(&mut self) -> ManagerShardReport {
-        self.mgr.flush();
-        let mut report = self.mgr.report();
-        let n = report.shards.len();
-        report.slave_load = self.pool.partition_load(n, |tile| self.mgr.owner(tile));
-        report.l2_residency = self
-            .l2code
-            .shard_residency(n, |addr| self.mgr.owner(self.mgr.home_of_addr(addr)));
-        report
-    }
-
-    /// Spawns the fabric partition workers on first use. Regions are
-    /// the only shape the fabric builds, so a configuration that never
-    /// forms them (single-block region limits) skips the pool entirely.
-    /// No metrics gauges are registered for the fabric: the windowed
-    /// series must be bit-identical at every fabric worker count.
-    fn ensure_fabric_pool(&mut self) {
-        if self.fabric_workers > 1
-            && self.fabric.is_none()
-            && self.cfg.region_limits().max_blocks > 1
-        {
-            self.fabric = Some(FabricTranslators::new(
-                self.fabric_workers,
-                self.cfg.opt,
-                self.cfg.region_limits(),
-                &self.mem,
-                self.cfg.width,
-                &self.cfg.placement.slaves,
-                self.cfg.placement.manager,
-                &self.profiler,
-            ));
-        }
-    }
-
-    /// Hands `addr`'s region build to the fabric pool when one is owed:
-    /// called wherever a region-shaped translation is queued. Submits
-    /// carry the current simulated cycle — the canonical exchange-order
-    /// key.
-    fn fabric_submit(&mut self, addr: u32) {
-        if self.fabric.is_none() {
-            return;
-        }
-        let shape = self.shape_for(addr);
-        if !shape.is_region() {
-            return;
-        }
-        let now = self.now.as_u64();
-        if let Some(f) = &mut self.fabric {
-            f.submit(addr, &shape, now);
         }
     }
 
@@ -779,7 +528,6 @@ impl System {
         } else {
             self.region_pending.insert(pc);
             self.queues.push(pc, 1);
-            self.fabric_submit(pc);
         }
     }
 
@@ -822,7 +570,6 @@ impl System {
         self.recorded.insert(rec.root, Arc::from(rec.path));
         self.region_pending.insert(rec.root);
         self.queues.push(rec.root, 1);
-        self.fabric_submit(rec.root);
     }
 
     /// Counts an entry into a recorded region. Both counters are halved
@@ -888,20 +635,13 @@ impl System {
     /// and is keyed by the full shape (a recorded shape carries its
     /// path), so a hit is byte-for-byte what a fresh translation would
     /// produce.
-    ///
-    /// With host workers enabled the pool's validated cache is consulted
-    /// next for single-block requests (the pool only pre-translates that
-    /// shape): a hit there carries a read footprint proving it equals
-    /// what the inline call below would return, so the consult order is
-    /// host-observable only. A miss falls through to inline translation
-    /// — today's serial path.
     fn translate_at(
         &mut self,
         pc: u32,
         shape: &RegionShape,
     ) -> Result<Arc<TBlock>, TranslateError> {
-        // Host profile phase: inline translation work on the run
-        // thread (memo/pool consults plus the inline build on a miss).
+        // Host profile phase: translation work on the run thread (the
+        // memo consult plus the build on a miss).
         // Reading the host clock never changes simulated state.
         self.prof_thread.enter("run.translate");
         let r = self.translate_at_inner(pc, shape);
@@ -910,7 +650,7 @@ impl System {
     }
 
     fn translate_at_inner(
-        &mut self,
+        &self,
         pc: u32,
         shape: &RegionShape,
     ) -> Result<Arc<TBlock>, TranslateError> {
@@ -921,26 +661,6 @@ impl System {
         };
         if let Some(sh) = &self.shared {
             if let Some(b) = sh.consult(&self.mem, pc, shape) {
-                return Ok(b);
-            }
-        }
-        if !shape.is_region() {
-            if let Some(host) = &mut self.host {
-                if let Some(b) = host.consult(pc, &self.mem, &mut self.prof_thread) {
-                    if let Some(sh) = &self.shared {
-                        sh.publish(&self.mem, &b, shape);
-                    }
-                    return Ok(b);
-                }
-            }
-        } else if let Some(fabric) = &mut self.fabric {
-            // Region shapes consult the fabric partition workers: a hit
-            // carries a verified read footprint, so it is byte-for-byte
-            // the block the inline call below would build.
-            if let Some(b) = fabric.consult(pc, shape, &self.mem, &mut self.prof_thread) {
-                if let Some(sh) = &self.shared {
-                    sh.publish(&self.mem, &b, shape);
-                }
                 return Ok(b);
             }
         }
@@ -963,8 +683,6 @@ impl System {
     /// Returns [`SystemError`] on guest faults or untranslatable demanded
     /// code.
     pub fn run(&mut self, max_guest_insns: u64) -> Result<RunReport, SystemError> {
-        self.ensure_host_pool();
-        self.ensure_fabric_pool();
         let stop = loop {
             if self.guest_insns >= max_guest_insns {
                 break (StopCause::InsnBudget, None);
@@ -1051,7 +769,7 @@ impl System {
             // execution enters the root as a single block. Both the
             // arming and every logged step depend only on architectural
             // events, so recordings — and the regions formed from them —
-            // are identical across host thread counts.
+            // are deterministic.
             if self.recorder.is_some() {
                 self.record_step(&block, outcome.exit);
             } else if !self.armed.is_empty() && block.ranges.len() == 1 {
@@ -1086,7 +804,7 @@ impl System {
                     // bodies partition into back-to-back traces. Both
                     // triggers depend only on which branches the guest
                     // executed — never on host timing — so the resident
-                    // shape is identical across host thread counts.
+                    // shape is deterministic.
                     let limits = self.cfg.region_limits();
                     if limits.max_blocks > 1 && !self.promoted.contains(&t) {
                         let backedge = t < block.guest_addr;
@@ -1172,16 +890,6 @@ impl System {
             }
 
             self.catch_up(self.now);
-            // Epoch boundary: past the scheduled horizon the fabric
-            // partitions' outboxes drain in canonical order and the
-            // next epoch length is agreed (one compare when idle or
-            // when no fabric pool runs).
-            if let Some(fabric) = &mut self.fabric {
-                fabric.tick(self.now.as_u64(), &mut self.prof_thread);
-            }
-            // Manager-shard handoffs settle on the same horizon (one
-            // compare when single-sharded or nothing is pending).
-            self.mgr.tick(self.now);
             self.tracer
                 .counter(self.now, self.trk.qdepth, self.queues.len() as u64);
             // Windowed sampling: one branch when metrics are off. The
@@ -1211,11 +919,6 @@ impl System {
         if let Some(m) = &self.morph {
             self.stats.set_ctr(Ctr::MorphReconfigs, m.reconfigs);
         }
-
-        // Settle any manager-shard handoffs still awaiting an epoch
-        // boundary, so the per-shard duty sums reconcile with the
-        // aggregate `manager.*` counters from here on.
-        self.mgr.flush();
 
         // Close the final (off-grid) window and seal the series; the
         // windowed sums now telescope to the totals set just above.
@@ -1302,32 +1005,30 @@ impl System {
         // manager. Both legs leave the bank at the same cycle, so the
         // request's effective latency is their max.
         let manager = self.cfg.placement.manager;
-        let src = match missed_bank {
+        match missed_bank {
             Some(bank_tile) => {
                 let forward = self.net_t(bank_tile, manager, 1);
                 let notify = self.net_t(bank_tile, self.cfg.placement.exec, 1);
                 self.now += forward.max(notify);
-                bank_tile
             }
             None => {
                 let wire = self.net_t(self.cfg.placement.exec, manager, 1);
                 self.now += wire;
-                self.cfg.placement.exec
             }
-        };
+        }
         self.catch_up(self.now);
-        let svc_start = self.mgr.begin(self.now);
+        let svc_start = self.now.max(self.manager_free);
         let svc_end = svc_start + self.timing.manager_service;
         // The manager looks its metadata up in DRAM-resident
         // structures. The stall past the fixed service time is a DRAM
         // wait — occupied-but-waiting, not work — and is counted apart
-        // from service so sharding wins measure against honest
-        // tile-busy time.
+        // from service so the manager's occupancy is honest tile-busy
+        // time.
         self.now = self
             .dram
             .access_traced(svc_end, 2, &mut self.tracer, self.trk.dram, "l2meta")
             .max(svc_end);
-        self.mgr.release(self.now);
+        self.manager_free = self.now;
         let svc = self.timing.manager_service;
         let dram_wait = self.now.saturating_since(svc_end);
         self.tracer.span(
@@ -1338,21 +1039,10 @@ impl System {
         );
         // Manager activity attribution: demand lookups are the
         // "network service" share of the manager tile's occupancy.
-        // Purely simulated arithmetic — deterministic across host
-        // thread counts, identical with profiling on or off.
+        // Purely simulated arithmetic — identical with profiling on or
+        // off.
         self.stats.add("manager.service_cycles", svc);
         self.stats.add("manager.dram_wait_cycles", dram_wait);
-        let home = self.mgr.home_of_addr(pc);
-        self.mgr
-            .charge(home, src, ManagerDuty::Service, svc, svc_start, true);
-        self.mgr.charge(
-            home,
-            src,
-            ManagerDuty::DramWait,
-            dram_wait,
-            svc_start,
-            false,
-        );
         self.stats.bump_ctr(Ctr::L2CodeAccess);
 
         let block = if let Some(b) = self.l2code.get(pc) {
@@ -1427,14 +1117,6 @@ impl System {
     fn demand_translate(&mut self, pc: u32) -> Result<Cycle, SystemError> {
         if !self.l2code.known(pc) {
             self.queues.push(pc, 0);
-            // The host pool only pre-translates single blocks; region
-            // shapes — promoted addresses re-translating after an
-            // invalidation — belong to the fabric partition workers.
-            if self.shape_for(pc).is_region() {
-                self.fabric_submit(pc);
-            } else if let Some(host) = &mut self.host {
-                host.submit(pc, 0);
-            }
         }
         let mut t = self.now;
         loop {
@@ -1544,7 +1226,6 @@ impl System {
             self.l2code.clear_in_flight(inflight.addr);
             if self.region_pending.contains(&inflight.addr) {
                 self.queues.push(inflight.addr, 1);
-                self.fabric_submit(inflight.addr);
             }
             self.assign_one(slave_idx, done);
             return;
@@ -1554,22 +1235,9 @@ impl System {
             // competes with demand lookups for the shared resource — the
             // congestion the paper blames for vpr/gcc/crafty (§4.3).
             let commit_cost = 40 + block.code.len() as u64 / 2;
-            let commit_start = self.mgr.begin(done);
-            self.mgr.release(commit_start + commit_cost);
+            let commit_start = done.max(self.manager_free);
+            self.manager_free = commit_start + commit_cost;
             self.stats.add("manager.commit_cycles", commit_cost);
-            // The commit is owned by the shard homing the block's
-            // address; the slave tile is the message source, so a
-            // cross-stripe commit settles at the next epoch boundary.
-            let home = self.mgr.home_of_addr(block.guest_addr);
-            let slave_tile = self.pool.slave(slave_idx).tile;
-            self.mgr.charge(
-                home,
-                slave_tile,
-                ManagerDuty::Commit,
-                commit_cost,
-                commit_start,
-                false,
-            );
             self.tracer.span(
                 commit_start,
                 commit_cost,
@@ -1663,12 +1331,6 @@ impl System {
     fn push_spec(&mut self, addr: u32, depth: u8) {
         if !self.l2code.known(addr) && !self.failed.contains(&addr) {
             self.queues.push(addr, depth);
-            // Mirror the speculation frontier to the host workers: they
-            // run ahead on the wall clock exactly where the simulated
-            // slaves run ahead in simulated time.
-            if let Some(host) = &mut self.host {
-                host.submit(addr, depth);
-            }
         }
     }
 
@@ -1748,14 +1410,11 @@ impl System {
 
     fn start_translation(&mut self, slave_idx: usize, addr: u32, depth: u8, at: Cycle) {
         // Handing out work occupies the manager's software loop.
-        let assign_start = self.mgr.begin(at);
-        self.mgr.release(assign_start + 30);
+        let assign_start = at.max(self.manager_free);
+        self.manager_free = assign_start + 30;
         self.stats.add("manager.assign_cycles", 30);
         let tile = self.pool.slave(slave_idx).tile;
         let manager = self.cfg.placement.manager;
-        let home = self.mgr.home_of_addr(addr);
-        self.mgr
-            .charge(home, manager, ManagerDuty::Assign, 30, assign_start, false);
         self.tracer
             .span(assign_start, 30, self.ttrack(manager), "assign");
         let shape = self.shape_for(addr);
@@ -1864,11 +1523,6 @@ impl System {
                     );
                     let charged = self.timing.reconfig_per_dirty_line * dirty as u64 / 8 + 50;
                     self.stats.add("manager.morph_cycles", charged);
-                    // Morphing stays coordinator-only: charged to the
-                    // shard owning the manager tile, never handed off.
-                    let mtile = self.cfg.placement.manager;
-                    self.mgr
-                        .charge(mtile, mtile, ManagerDuty::Morph, charged, self.now, false);
                     self.now += charged;
                     self.tracer.instant(
                         self.now,
@@ -1904,9 +1558,6 @@ impl System {
                     bank.next_free = free_at + self.timing.reconfig;
                     bank.track = track;
                     self.stats.add("manager.morph_cycles", 50);
-                    let mtile = self.cfg.placement.manager;
-                    self.mgr
-                        .charge(mtile, mtile, ManagerDuty::Morph, 50, self.now, false);
                     self.now += 50;
                     self.tracer.instant(self.now, track, "role.cache", 0);
                     self.stats.bump_ctr(Ctr::MorphToCache);
@@ -1939,27 +1590,19 @@ impl System {
         // bytes (their functional result is computed at assign time):
         // cancel them all — SMC is rare, and re-queueing is always safe.
         self.pool.cancel_in_flight();
-        // Worker snapshots were taken before the write: swap in the new
-        // bytes and drop every result derived from the old ones.
-        if let Some(host) = &mut self.host {
-            host.resnapshot(&self.mem);
-        }
-        if let Some(fabric) = &mut self.fabric {
-            fabric.resnapshot(&self.mem);
-        }
         self.tracer
             .instant(self.now, self.trk.exec, "smc.invalidate", page as u64);
         // The invalidation round-trips to the manager, and the walk
         // occupies the manager's service loop like any other request:
-        // it reserves the shared service ring, so it queues behind an
+        // it reserves the service ring, so it queues behind an
         // in-progress commit or lookup and — the bug this fixes — a
         // background commit can no longer be booked into the same
         // window the walk was already charged for.
         let (exec, manager) = (self.cfg.placement.exec, self.cfg.placement.manager);
         let wire_there = self.net_t(exec, manager, 1);
-        let walk_start = self.mgr.begin(self.now + wire_there);
+        let walk_start = (self.now + wire_there).max(self.manager_free);
         let walk_end = walk_start + self.timing.manager_service;
-        self.mgr.release(walk_end);
+        self.manager_free = walk_end;
         self.tracer.span(
             walk_start,
             self.timing.manager_service,
@@ -1968,15 +1611,6 @@ impl System {
         );
         self.stats
             .add("manager.service_cycles", self.timing.manager_service);
-        let home = self.mgr.home_of_page(page);
-        self.mgr.charge(
-            home,
-            exec,
-            ManagerDuty::Service,
-            self.timing.manager_service,
-            walk_start,
-            true,
-        );
         self.now = walk_end;
         let wire_back = self.net_t(manager, exec, 1);
         self.now += wire_back;
@@ -1995,36 +1629,6 @@ impl System {
         );
         cost
     }
-}
-
-/// Default host parallelism: `VTA_HOST_THREADS` if set and ≥ 1, else 1
-/// (the serial path).
-fn host_threads_from_env() -> usize {
-    std::env::var("VTA_HOST_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Default fabric partition count: `VTA_FABRIC_WORKERS` if set and ≥ 1,
-/// else 1 (the serial fabric).
-fn fabric_workers_from_env() -> usize {
-    std::env::var("VTA_FABRIC_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Default manager shard count: `VTA_MANAGER_SHARDS` if set and ≥ 1,
-/// else 1 (the aggregate single-shard view).
-fn manager_shards_from_env() -> usize {
-    std::env::var("VTA_MANAGER_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 /// One-way message cost: inject + hops + payload + eject.
@@ -2351,11 +1955,25 @@ mod tests {
         assert!(!sh.is_empty());
     }
 
+    /// Runs `img` under `paper_default` and checks it against the
+    /// reference interpreter: same exit code, same output.
+    fn run_against_reference(img: &GuestImage) -> RunReport {
+        let mut cpu = vta_x86::Cpu::new(img);
+        let want = match cpu.run(10_000_000).unwrap() {
+            vta_x86::StopReason::Exit(c) => c,
+            other => panic!("reference stopped with {other:?}"),
+        };
+        let mut sys = System::new(VirtualArchConfig::paper_default(), img);
+        let report = sys.run(10_000_000).expect("runs");
+        assert_eq!(report.exit_code, Some(want));
+        assert_eq!(report.output, cpu.sys.output);
+        report
+    }
+
     #[test]
-    fn host_threads_do_not_change_results() {
-        // The tentpole invariant: simulated cycles AND stats are
-        // bit-identical at every host thread count. Use a program with
-        // a wide speculation frontier so the workers actually get work.
+    fn wide_speculation_frontier_matches_reference() {
+        // 150 conditionals in a row fan the speculation frontier out
+        // two ways per block.
         let img = image(|a| {
             for i in 0..150u32 {
                 a.test_ri(Reg::EAX, 1);
@@ -2367,24 +1985,14 @@ mod tests {
             }
             a.exit_with_eax();
         });
-        let run = |threads: usize| {
-            let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
-            sys.set_host_threads(threads);
-            sys.run(10_000_000).expect("runs")
-        };
-        let base = run(1);
-        for threads in [2, 4] {
-            let r = run(threads);
-            assert_eq!(r.cycles, base.cycles, "threads={threads}");
-            assert_eq!(r.stats, base.stats, "threads={threads}");
-            assert_eq!(r.exit_code, base.exit_code, "threads={threads}");
-        }
+        let report = run_against_reference(&img);
+        assert_eq!(report.exit_code, Some(150));
     }
 
     #[test]
-    fn host_threads_survive_smc() {
-        // Self-modifying guest under worker threads: the pool must
-        // resnapshot and never serve a pre-patch translation.
+    fn smc_between_loop_passes_runs_the_patched_body() {
+        // Two passes of a 500-iteration loop; between them the guest
+        // patches the body's immediate from 11 to 99.
         let mut site = 0u32;
         let img = image(|a| {
             a.mov_ri(Reg::ESI, 2);
@@ -2402,17 +2010,8 @@ mod tests {
             a.jcc(Cond::Ne, outer);
             a.exit_with_eax();
         });
-        let run = |threads: usize| {
-            let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
-            sys.set_host_threads(threads);
-            sys.run(10_000_000).expect("runs")
-        };
-        let base = run(1);
-        assert_eq!(base.exit_code, Some(500 * 11 + 500 * 99));
-        let par = run(4);
-        assert_eq!(par.exit_code, base.exit_code);
-        assert_eq!(par.cycles, base.cycles);
-        assert_eq!(par.stats, base.stats);
+        let report = run_against_reference(&img);
+        assert_eq!(report.exit_code, Some(500 * 11 + 500 * 99));
     }
 
     #[test]
@@ -2517,10 +2116,10 @@ mod tests {
     }
 
     #[test]
-    fn region_smc_identical_across_host_threads() {
-        // The interior-patch guest under the host translation pool:
-        // revocation racing worker translations must stay bit-identical
-        // with the serial oracle (cycles, stats, exit code).
+    fn smc_interior_patch_rebuilds_the_region_every_pass() {
+        // The interior-patch guest run for three passes: the first adds
+        // the original 11, and every later pass must see the patched 90
+        // even though the region is rebuilt in between.
         let mut site = 0u32;
         let img = image(|a| {
             a.mov_ri(Reg::ESI, 3);
@@ -2553,106 +2152,52 @@ mod tests {
             a.jmp(y_end);
         });
         assert_eq!(site, BASE + 0x1000);
-        let run = |threads: usize| {
-            let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
-            sys.set_host_threads(threads);
-            sys.run(10_000_000).expect("runs")
-        };
-        let base = run(1);
-        assert_eq!(base.exit_code, Some(11 + 90 + 90));
-        for threads in [2, 4] {
-            let r = run(threads);
-            assert_eq!(r.exit_code, base.exit_code, "threads={threads}");
-            assert_eq!(r.cycles, base.cycles, "threads={threads}");
-            assert_eq!(r.stats, base.stats, "threads={threads}");
-        }
+        let report = run_against_reference(&img);
+        assert_eq!(report.exit_code, Some(11 + 90 + 90));
     }
 
     #[test]
-    fn fabric_workers_do_not_change_results() {
-        // The PR's tentpole invariant: simulated cycles AND stats are
-        // bit-identical at every fabric worker count, crossed with host
-        // translator threads. A hot multi-block loop body records a
-        // non-empty path, so region builds actually flow through the
-        // partition workers.
-        let img = image(|a| {
-            a.mov_ri(Reg::ECX, 800);
-            let top = a.here();
-            a.test_ri(Reg::EAX, 1);
-            let skip = a.label();
-            a.jcc(Cond::Ne, skip);
-            a.add_ri(Reg::EBX, 3);
-            a.bind(skip);
-            a.add_ri(Reg::EAX, 1);
-            a.dec_r(Reg::ECX);
-            a.jcc(Cond::Ne, top);
-            a.exit_with_eax();
-        });
-        let run = |fabric: usize, host: usize| {
-            let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
-            sys.set_host_threads(host);
-            sys.set_fabric_workers(fabric);
-            let r = sys.run(10_000_000).expect("runs");
-            let submitted = sys.fabric_perf().map_or(0, |p| p.submitted);
-            (r, submitted)
-        };
-        let (base, none) = run(1, 1);
-        assert_eq!(none, 0, "no pool at one worker");
-        for (fabric, host) in [(2, 1), (4, 1), (2, 4), (4, 4)] {
-            let (r, submitted) = run(fabric, host);
-            assert_eq!(r.cycles, base.cycles, "fabric={fabric} host={host}");
-            assert_eq!(r.stats, base.stats, "fabric={fabric} host={host}");
-            assert_eq!(r.exit_code, base.exit_code, "fabric={fabric} host={host}");
-            assert!(submitted > 0, "region builds reached the fabric pool");
-        }
-    }
-
-    #[test]
-    fn fabric_smc_identical_across_worker_counts() {
-        // The interior-patch guest (same shape as the host-pool SMC
-        // test): revocation racing fabric region builds must stay
-        // bit-identical with the serial oracle.
-        let img = image(|a| {
-            a.mov_ri(Reg::ESI, 3);
-            a.mov_ri(Reg::EAX, 0);
-            let outer = a.here();
-            let y_entry = a.label();
-            let y_mid = a.label();
-            let y_end = a.label();
-            let done = a.label();
-            a.jmp(y_entry);
-            a.bind(y_end);
-            a.add_rr(Reg::EAX, Reg::EBX);
-            a.dec_r(Reg::ESI);
-            a.jcc(Cond::E, done);
-            a.mov_mi8(vta_x86::MemRef::abs(BASE + 0x1000 + 1), 90);
-            a.jmp(outer);
-            a.bind(done);
-            a.exit_with_eax();
-            while a.cur_addr() < BASE + 0xFF8 {
-                a.nop();
-            }
-            a.bind(y_entry);
-            a.jmp(y_mid);
-            while a.cur_addr() < BASE + 0x1000 {
-                a.nop();
-            }
-            a.bind(y_mid);
-            a.mov_ri(Reg::EBX, 11);
-            a.jmp(y_end);
-        });
-        let run = |fabric: usize| {
-            let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
-            sys.set_fabric_workers(fabric);
-            sys.run(10_000_000).expect("runs")
-        };
-        let base = run(1);
-        assert_eq!(base.exit_code, Some(11 + 90 + 90));
-        for fabric in [2, 4] {
-            let r = run(fabric);
-            assert_eq!(r.exit_code, base.exit_code, "fabric={fabric}");
-            assert_eq!(r.cycles, base.cycles, "fabric={fabric}");
-            assert_eq!(r.stats, base.stats, "fabric={fabric}");
+    fn seeded_loop_battery_matches_its_replayed_answer() {
+        // Six hot loops drawn from a seed, each with a data-dependent
+        // junction in its body, so every loop promotes and records its
+        // own region. The answer is replayed in Rust beside the code.
+        for seed in [0x5eed_cafe_f00d_0001, 0x5eed_cafe_f00d_0003] {
+            let mut rng = vta_sim::Rng::seeded(seed);
+            let mut expected = 0u32;
+            let img = image(|a| {
+                a.mov_ri(Reg::EBX, 0);
+                for _ in 0..6 {
+                    let iters = rng.range(200, 499) as u32;
+                    let bump = rng.range(1, 5) as i32;
+                    let parity_bump = rng.range(1, 3) as i32;
+                    a.mov_ri(Reg::ECX, iters);
+                    a.mov_ri(Reg::EAX, 0);
+                    let top = a.here();
+                    a.test_ri(Reg::EAX, 1);
+                    let skip = a.label();
+                    a.jcc(Cond::Ne, skip);
+                    a.add_ri(Reg::EBX, bump);
+                    a.bind(skip);
+                    a.add_ri(Reg::EAX, parity_bump);
+                    a.dec_r(Reg::ECX);
+                    a.jcc(Cond::Ne, top);
+                    let mut eax = 0u32;
+                    for _ in 0..iters {
+                        if eax & 1 == 0 {
+                            expected = expected.wrapping_add(bump as u32);
+                        }
+                        eax = eax.wrapping_add(parity_bump as u32);
+                    }
+                }
+                a.mov_rr(Reg::EAX, Reg::EBX);
+                a.exit_with_eax();
+            });
+            let report = run_against_reference(&img);
+            assert_eq!(report.exit_code, Some(expected), "seed {seed:#x}");
+            assert!(
+                report.stats.get("superblock.recorded") >= 6,
+                "seed {seed:#x}"
+            );
         }
     }
 
@@ -3082,27 +2627,6 @@ mod tests {
         let off = System::new(cfg, &img).run(10_000_000).expect("runs");
         assert_eq!(off.exit_code, report.exit_code);
         assert_eq!(off.guest_insns, report.guest_insns);
-    }
-
-    #[test]
-    fn recording_and_demotion_identical_across_host_threads() {
-        // Promotion, recording, demotion, and re-recording all observe
-        // architectural events only: cycles and stats must stay
-        // bit-identical at every host thread count even while regions
-        // form, demote, and re-form mid-run.
-        let img = phase_flip_program();
-        let run = |threads: usize| {
-            let mut sys = System::new(VirtualArchConfig::paper_default(), &img);
-            sys.set_host_threads(threads);
-            sys.run(10_000_000).expect("runs")
-        };
-        let base = run(1);
-        assert_eq!(base.exit_code, Some(6_000));
-        for threads in [2, 4] {
-            let r = run(threads);
-            assert_eq!(r.cycles, base.cycles, "threads={threads}");
-            assert_eq!(r.stats, base.stats, "threads={threads}");
-        }
     }
 
     #[test]

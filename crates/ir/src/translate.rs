@@ -2,14 +2,14 @@
 //!
 //! The whole pipeline is a *pure* function of the bytes it fetches through
 //! [`CodeSource`]: no globals, no randomness, no iteration over unordered
-//! containers. That purity is what lets host worker threads run the
-//! translator ahead of the simulation (see `vta-dbt`'s host-parallel
-//! translation): a block produced on another thread against a memory
-//! snapshot is bit-identical to one produced inline, *provided every byte
-//! the translation read still holds the same value*. [`RecordingSource`]
-//! captures that read footprint and [`ReadSet::verify`] re-checks it, so
-//! reuse is sound even when the optimizer scans guest bytes far beyond
-//! the translated block (the dead-flags pass follows successors).
+//! containers. That purity is what makes a translation reusable: a block
+//! produced against one copy of guest memory is bit-identical to one
+//! produced against another, *provided every byte the translation read
+//! still holds the same value*. [`RecordingSource`] captures that read
+//! footprint and [`ReadSet::verify`] re-checks it, so reuse is sound even
+//! when the optimizer scans guest bytes far beyond the translated block
+//! (the dead-flags pass follows successors). The differential fuzz
+//! oracle uses the footprint to detect same-block self-modifying code.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -310,8 +310,8 @@ fn finish_region<S: CodeSource + ?Sized>(
         Ok(code) => code,
         // A merged region can exceed the host temp pool even when each
         // member fits alone. Deterministic fallback — identical whether
-        // the translation runs inline, on a host worker, or in the fuzz
-        // oracle — keeps host-parallel reuse bit-exact.
+        // the translation runs in the DBT, from a shared memo, or in the
+        // fuzz oracle — keeps reuse bit-exact.
         Err(CodegenError::RegisterPressure { .. }) if ranges.len() > 1 => {
             return translate_region(src, region.guest_addr, opt, &RegionLimits::single());
         }
@@ -682,7 +682,8 @@ mod tests {
     use vta_x86::decode::SliceSource;
     use vta_x86::{Asm, Reg::*};
 
-    /// `TBlock` and `ReadSet` cross host threads in the parallel DBT.
+    /// Translation artifacts stay thread-portable: `TBlock`s cross host
+    /// threads through the shared translation memo in parallel sweeps.
     #[test]
     fn translation_artifacts_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

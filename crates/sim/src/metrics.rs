@@ -7,7 +7,7 @@
 //! [`Metrics`] recorder closes one [`Window`] every `interval` simulated
 //! cycles, storing the **delta** of every interned [`Ctr`] counter over the
 //! window plus a point-in-time sample of each registered gauge (queue
-//! depths, role occupancy, pool counters).
+//! depths, role occupancy).
 //!
 //! The design constraints mirror [`crate::trace`]:
 //!

@@ -441,50 +441,6 @@ impl Stats {
         h
     }
 
-    /// The first counter or histogram whose value differs from
-    /// `other`, as a human-readable description — `None` when the two
-    /// registries are equal. Oracle-comparison tests (e.g. the
-    /// epoch-parallel fabric stress test) use this to report *which*
-    /// counter diverged instead of dumping two full registries.
-    pub fn first_difference(&self, other: &Stats) -> Option<String> {
-        let mine: Vec<(&str, u64)> = self.iter().collect();
-        let theirs: Vec<(&str, u64)> = other.iter().collect();
-        let mut a = mine.iter().peekable();
-        let mut b = theirs.iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(an, av)), Some(&&(bn, bv))) if an == bn => {
-                    if av != bv {
-                        return Some(format!("counter {an}: {av} vs {bv}"));
-                    }
-                    a.next();
-                    b.next();
-                }
-                (Some(&&(an, _)), Some(&&(bn, _))) => {
-                    let missing = if an < bn { an } else { bn };
-                    return Some(format!("counter {missing}: present on one side only"));
-                }
-                (Some(&&(an, _)), None) | (None, Some(&&(an, _))) => {
-                    return Some(format!("counter {an}: present on one side only"));
-                }
-                (None, None) => break,
-            }
-        }
-        for (name, h) in &self.histograms {
-            match other.histograms.get(name) {
-                Some(o) if h == o => {}
-                Some(_) => return Some(format!("histogram {name}: distributions differ")),
-                None => return Some(format!("histogram {name}: present on one side only")),
-            }
-        }
-        for name in other.histograms.keys() {
-            if !self.histograms.contains_key(name) {
-                return Some(format!("histogram {name}: present on one side only"));
-            }
-        }
-        None
-    }
-
     /// Merges another registry into this one, summing counters.
     pub fn merge(&mut self, other: &Stats) {
         for (a, b) in self.fixed.iter_mut().zip(other.fixed.iter()) {
@@ -886,88 +842,5 @@ mod tests {
         c.record("lat", 9);
         assert_ne!(a.fingerprint(), c.fingerprint(), "histograms are covered");
         assert_eq!(Stats::new().fingerprint(), Stats::new().fingerprint());
-    }
-
-    #[test]
-    fn first_difference_none_when_equal() {
-        assert_eq!(Stats::new().first_difference(&Stats::new()), None);
-        let mut a = Stats::new();
-        a.add("cycles", 10);
-        a.add("a.x", 3);
-        a.record("lat", 7);
-        let b = a.clone();
-        assert_eq!(a.first_difference(&b), None);
-        assert_eq!(b.first_difference(&a), None);
-    }
-
-    #[test]
-    fn first_difference_names_the_divergent_counter() {
-        let mut a = Stats::new();
-        a.add("cycles", 10);
-        let mut b = Stats::new();
-        b.add("cycles", 12);
-        assert_eq!(
-            a.first_difference(&b),
-            Some("counter cycles: 10 vs 12".to_string())
-        );
-        // A counter only one side touched reports presence, not a value.
-        let mut c = a.clone();
-        c.add("spec.pushes", 1);
-        assert_eq!(
-            a.first_difference(&c),
-            Some("counter spec.pushes: present on one side only".to_string())
-        );
-        assert_eq!(
-            c.first_difference(&a),
-            Some("counter spec.pushes: present on one side only".to_string())
-        );
-    }
-
-    #[test]
-    fn first_difference_reports_first_in_name_order() {
-        // Several divergences: the report must name the first in the
-        // registry's canonical (name) order, regardless of write order.
-        let mut a = Stats::new();
-        a.add("z.last", 1);
-        a.add("b.mid", 2);
-        a.bump_ctr(Ctr::Cycles);
-        let mut b = Stats::new();
-        b.add("z.last", 9);
-        b.add("b.mid", 9);
-        b.add("cycles", 9);
-        assert_eq!(
-            a.first_difference(&b),
-            Some("counter b.mid: 2 vs 9".to_string())
-        );
-        // Counters compare before histograms even when a histogram also
-        // differs.
-        a.record("lat", 1);
-        assert_eq!(
-            a.first_difference(&b),
-            Some("counter b.mid: 2 vs 9".to_string())
-        );
-    }
-
-    #[test]
-    fn first_difference_covers_histograms() {
-        let mut a = Stats::new();
-        a.record("lat", 4);
-        let mut b = Stats::new();
-        b.record("lat", 4);
-        assert_eq!(a.first_difference(&b), None);
-        b.record("lat", 8);
-        assert_eq!(
-            a.first_difference(&b),
-            Some("histogram lat: distributions differ".to_string())
-        );
-        let c = Stats::new();
-        assert_eq!(
-            a.first_difference(&c),
-            Some("histogram lat: present on one side only".to_string())
-        );
-        assert_eq!(
-            c.first_difference(&a),
-            Some("histogram lat: present on one side only".to_string())
-        );
     }
 }

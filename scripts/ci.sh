@@ -12,10 +12,8 @@
 #   clippy   × {default, --no-default-features}
 #   build    × {default, --no-default-features}   (release)
 #   test     × {default, --no-default-features}   (debug-for-tests)
-#   determinism: perf --check across {threads 1, 4} × {fabric workers
-#     1, 2, $(nproc)} × {manager shards 1, 2}; every fingerprint AND
-#     the full --check stdout must be identical at every point of the
-#     matrix
+#   determinism: perf --check — simulated cycles must match the frozen
+#     fingerprints in BENCH_dispatch.json bit-for-bit
 #   metrics: perf --metrics --check — the windowed series for the vpr
 #     benchmark must match the committed BENCH_metrics_vpr.csv golden
 #     byte-for-byte (regenerate with --metrics --bless when a simulated
@@ -25,7 +23,7 @@
 #     modes for every benchmark × opt cell
 #   profile: the host wall-time profiler must be invisible to the
 #     simulation — perf --profile --check stdout must be byte-identical
-#     to plain --check across {threads 1,4} × {fabric 1,2} and in the
+#     to plain --check, in the default build and in the
 #     no-default-features build (where the profiler compiles out), and
 #     the profiler's own wall cost on the fingerprint benches must stay
 #     under 5% (perf --profile --overhead, min-of-N)
@@ -33,12 +31,11 @@
 #     exist in the field (default = trace+metrics+prof, none of them,
 #     trace-without-metrics, and prof-alone — the profiler hooks must
 #     not perturb the oracle)
-#   scaling gate: on multi-core hosts, the fig5 sweep at 4 threads must
-#     actually beat 1 thread (skipped on single-core hosts, where no
-#     wall-clock speedup is physically possible)
-#   fabric scaling gate: on multi-core hosts, the Scale::Large
-#     superblock highlights at 2 fabric workers must beat 1 (same
-#     single-core skip rule)
+#   scaling gate: on multi-core hosts, the fig5 sweep fanned out over
+#     4 threads must be >= 1.8x faster than on 1 thread (skipped on
+#     single-core hosts, where no wall-clock speedup is physically
+#     possible). Sweep fan-out is the one place host parallelism lives;
+#     every simulation itself runs serially.
 #
 # Every stage that skips itself says so inline AND in the end-of-run
 # summary — a skip is a host limitation, never a silent pass.
@@ -94,52 +91,12 @@ run_stage "test (default)" \
 run_stage "test (no-default-features)" \
     cargo test -q --workspace --no-default-features
 
-# Determinism stage: simulated cycles and stats must match the frozen
-# fingerprints in BENCH_dispatch.json bit-for-bit at every point of the
-# {host translator threads} × {fabric workers} × {manager shards}
-# matrix, and the --check output itself must not depend on any of the
-# three counts (it prints cycles + a full stats digest per benchmark).
-# Manager shards are duty attribution over one shared service ring, so
-# they must be timing-invisible like the other two host-side axes.
-determinism_stage() {
-    # No `trap ... RETURN` here: a RETURN trap set inside a function
-    # stays installed for every later function return in the script
-    # (where the local it references no longer exists — an unbound
-    # variable under `set -u`). Clean up explicitly instead; on
-    # failure the tempdir is left behind for inspection.
-    local out_dir ref t f s
-    out_dir="$(mktemp -d)"
-    local fabrics="1 2"
-    case "$(nproc)" in
-        1 | 2) ;;
-        *) fabrics="$fabrics $(nproc)" ;;
-    esac
-    ref=""
-    for f in $fabrics; do
-        for t in 1 4; do
-            for s in 1 2; do
-                echo "ci:    perf --check --threads $t --fabric-workers $f --manager-shards $s"
-                cargo run --release -q -p vta-bench --bin perf -- --check \
-                    --threads "$t" --fabric-workers "$f" --manager-shards "$s" \
-                    > "$out_dir/check-$t-$f-$s.txt"
-                if [ -z "$ref" ]; then
-                    ref="$out_dir/check-$t-$f-$s.txt"
-                elif ! diff -q "$ref" "$out_dir/check-$t-$f-$s.txt" > /dev/null; then
-                    echo "ci: FAIL: perf --check output differs across the matrix" >&2
-                    echo "ci:       (threads $t, fabric workers $f, shards $s" >&2
-                    echo "ci:        vs threads 1, fabric 1, shards 1)" >&2
-                    echo "ci:       outputs kept in $out_dir" >&2
-                    diff "$ref" "$out_dir/check-$t-$f-$s.txt" >&2 || true
-                    return 1
-                fi
-            done
-        done
-    done
-    echo "ci:    fingerprints and full stdout identical at threads {1,4} x fabric {$fabrics} x shards {1,2}"
-    rm -rf "$out_dir"
-}
-run_stage "determinism (threads x fabric x shards matrix)" \
-    determinism_stage
+# Determinism stage: simulated cycles must match the frozen
+# fingerprints in BENCH_dispatch.json bit-for-bit (perf --check exits
+# nonzero on drift; it also prints a full stats digest per benchmark,
+# which the profile stage diffs).
+run_stage "determinism (perf --check)" \
+    cargo run --release -q -p vta-bench --bin perf -- --check
 
 # Metrics stage: the windowed time series is a pure function of
 # (image, config, interval) — diff it against the committed golden.
@@ -156,30 +113,23 @@ run_stage "superblock retirement (perf --superblock --check)" \
 # Profile stage: host wall-clock profiling is the second clock domain
 # and must never leak into the first — enabling it inside every
 # fingerprinted System must leave the --check stdout (cycles AND full
-# stats digests) byte-identical, in the default build at every point
-# of the {threads} × {fabric} matrix and in the no-default-features
-# build where the profiler compiles down to no-ops. The profiler's own
-# cost is gated too: min-of-N interleaved wall on the fingerprint
-# benches must stay within 5% (one retry — the assertion measures the
-# instrumentation, not a noisy neighbor).
+# stats digests) byte-identical, in the default build and in the
+# no-default-features build where the profiler compiles down to no-ops.
+# The profiler's own cost is gated too: min-of-N interleaved wall on
+# the fingerprint benches must stay within 5% (one retry — the
+# assertion measures the instrumentation, not a noisy neighbor).
 profile_stage() {
-    local out_dir t f
+    local out_dir
     out_dir="$(mktemp -d)"
-    for f in 1 2; do
-        for t in 1 4; do
-            echo "ci:    perf --check vs --profile --check (threads $t, fabric $f)"
-            cargo run --release -q -p vta-bench --bin perf -- --check \
-                --threads "$t" --fabric-workers "$f" > "$out_dir/plain-$t-$f.txt"
-            cargo run --release -q -p vta-bench --bin perf -- --profile --check \
-                --threads "$t" --fabric-workers "$f" > "$out_dir/prof-$t-$f.txt"
-            if ! diff -q "$out_dir/plain-$t-$f.txt" "$out_dir/prof-$t-$f.txt" > /dev/null; then
-                echo "ci: FAIL: --profile --check stdout differs from --check" >&2
-                echo "ci:       (threads $t, fabric workers $f; outputs kept in $out_dir)" >&2
-                diff "$out_dir/plain-$t-$f.txt" "$out_dir/prof-$t-$f.txt" >&2 || true
-                return 1
-            fi
-        done
-    done
+    echo "ci:    perf --check vs --profile --check"
+    cargo run --release -q -p vta-bench --bin perf -- --check > "$out_dir/plain.txt"
+    cargo run --release -q -p vta-bench --bin perf -- --profile --check > "$out_dir/prof.txt"
+    if ! diff -q "$out_dir/plain.txt" "$out_dir/prof.txt" > /dev/null; then
+        echo "ci: FAIL: --profile --check stdout differs from --check" >&2
+        echo "ci:       (outputs kept in $out_dir)" >&2
+        diff "$out_dir/plain.txt" "$out_dir/prof.txt" >&2 || true
+        return 1
+    fi
     echo "ci:    perf --profile --check, --no-default-features (profiler compiled out)"
     cargo run --release -q -p vta-bench --no-default-features --bin perf -- --check \
         > "$out_dir/plain-off.txt"
@@ -190,7 +140,7 @@ profile_stage() {
         diff "$out_dir/plain-off.txt" "$out_dir/prof-off.txt" >&2 || true
         return 1
     fi
-    echo "ci:    profiling on/off stdout identical at threads {1,4} x fabric {1,2} + feature-off"
+    echo "ci:    profiling on/off stdout identical, default build + feature-off"
     if ! cargo run --release -q -p vta-bench --bin perf -- --profile --overhead \
         | sed 's/^/ci:    /'; then
         echo "ci:    overhead gate failed once; retrying (guards against a noisy host)"
@@ -237,24 +187,25 @@ fuzz_stage() {
 run_stage "fuzz (fixed-seed smoke)" \
     fuzz_stage
 
-# Scaling gate: parallelism must actually pay off where it can. A
+# Scaling gate: sweep fan-out must actually pay off where it can. A
 # single-core host cannot speed anything up with threads (only measure
-# scheduler overhead), so the assertion is gated on available cores;
-# BENCH_parallel.json's internal consistency is checked either way (in
-# the determinism stage via --check).
+# scheduler overhead), so the assertion is gated on available cores.
 scaling_stage() {
     if [ "$(nproc)" -lt 2 ]; then
-        echo "ci:    skipped: single-core host: wall-clock speedup is physically impossible;"
-        echo "ci:    skipping the speedup assertion (artifact still validated by --check)"
+        echo "ci:    skipped: single-core host: wall-clock speedup is physically impossible"
         STAGE_SKIPPED="single-core host"
         return 0
     fi
-    local out
-    out="$(cargo run --release -q -p vta-bench --bin perf -- --threads 4 | head -1)"
+    # Capture perf's whole stdout, then keep its first line: piping
+    # straight into `head -1` closes the pipe early, perf panics on the
+    # broken pipe (exit 101), and pipefail fails the stage.
+    local out wall_4 wall_1
+    out="$(cargo run --release -q -p vta-bench --bin perf -- --threads 4)"
+    out="${out%%$'\n'*}"
     echo "ci:    $out"
-    local wall_4 wall_1
     wall_4="$(echo "$out" | sed -n 's/.*wall \([0-9.]*\)s.*/\1/p')"
-    out="$(cargo run --release -q -p vta-bench --bin perf -- --threads 1 | head -1)"
+    out="$(cargo run --release -q -p vta-bench --bin perf -- --threads 1)"
+    out="${out%%$'\n'*}"
     echo "ci:    $out"
     wall_1="$(echo "$out" | sed -n 's/.*wall \([0-9.]*\)s.*/\1/p')"
     # Require >= 1.8x with integer-only shell arithmetic: 10*wall_1 >= 18*wall_4.
@@ -270,22 +221,6 @@ scaling_stage() {
 }
 run_stage "scaling ($(nproc) cores)" \
     scaling_stage
-
-# Fabric scaling gate: partitioning the tile grid across epoch-parallel
-# workers must beat the serial fabric on wall clock where the host has
-# the cores to run them. perf --fabric-scaling gates itself on the core
-# count and prints an explicit "skipped: single-core" line when the
-# assertion is physically meaningless.
-fabric_scaling_stage() {
-    local out
-    out="$(cargo run --release -q -p vta-bench --bin perf -- --fabric-scaling)"
-    printf '%s\n' "$out" | sed 's/^/ci:    /'
-    if printf '%s\n' "$out" | grep -q "skipped: single-core"; then
-        STAGE_SKIPPED="single-core host"
-    fi
-}
-run_stage "fabric scaling ($(nproc) cores)" \
-    fabric_scaling_stage
 
 echo "ci: stage timings:"
 for i in "${!STAGE_NAMES[@]}"; do
