@@ -51,6 +51,9 @@
 //! With `--check`, the fingerprints are recomputed and compared against
 //! the checked-in `BENCH_dispatch.json` — nothing is rewritten, and any
 //! drift exits nonzero.
+//!
+//! `--threads` and `--interval` take positive integers; a missing,
+//! non-numeric or zero value exits 2, as an unknown `--scale` does.
 
 use vta_bench::metrics::{metrics_benchmark, phase_summary, series_csv, series_json};
 use vta_bench::perf::{
@@ -92,11 +95,20 @@ fn arg_value(flag: &str) -> Option<String> {
     None
 }
 
-fn threads_arg() -> usize {
-    arg_value("--threads")
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+/// Value of a `--flag N` argument that must be a positive integer:
+/// `Ok(None)` when `flag` is absent, an error when its value is
+/// missing, not a number, or zero.
+fn positive_arg(args: &[String], flag: &str) -> Result<Option<u64>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) => match v.parse::<u64>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!("{flag} wants a positive integer, got `{v}`")),
+        },
+        None => Err(format!("{flag} wants a positive integer, got nothing")),
+    }
 }
 
 /// Recomputes the fingerprints and diffs them against the checked-in
@@ -281,18 +293,16 @@ fn overhead_mode() -> i32 {
 const METRICS_GOLDEN: (&str, u64, &str) = ("vpr", 50_000, "BENCH_metrics_vpr.csv");
 
 /// `--metrics` mode: run one benchmark with windowed sampling on and
-/// export/inspect the series. Returns the process exit code.
-fn metrics_mode() -> i32 {
+/// export/inspect the series, sampling every `interval` cycles (the
+/// default interval when `None`). Returns the process exit code.
+fn metrics_mode(interval: Option<u64>) -> i32 {
     let check = std::env::args().any(|a| a == "--check");
     let bless = std::env::args().any(|a| a == "--bless");
     if check || bless {
         return metrics_check(bless);
     }
     let bench = arg_value("--bench").unwrap_or_else(|| "vpr".to_string());
-    let interval = arg_value("--interval")
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(MetricsConfig::default().interval);
+    let interval = interval.unwrap_or(MetricsConfig::default().interval);
     let mcfg = MetricsConfig {
         interval,
         ..MetricsConfig::default()
@@ -303,10 +313,6 @@ fn metrics_mode() -> i32 {
         VirtualArchConfig::paper_default(),
         mcfg,
     );
-    if !m.is_enabled() {
-        eprintln!("--metrics: built without the `metrics` feature; nothing recorded");
-        return 2;
-    }
     if let Err(e) = m.reconcile_stats(&report.stats) {
         eprintln!("--metrics: series does not reconcile with Stats: {e}");
         return 1;
@@ -344,10 +350,6 @@ fn metrics_check(bless: bool) -> i32 {
             ..MetricsConfig::default()
         },
     );
-    if !m.is_enabled() {
-        println!("--metrics --check: `metrics` feature off; golden not applicable, skipping");
-        return 0;
-    }
     if let Err(e) = m.reconcile_stats(&report.stats) {
         eprintln!("--metrics --check: series does not reconcile with Stats: {e}");
         return 1;
@@ -394,8 +396,19 @@ fn metrics_check(bless: bool) -> i32 {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let (threads, interval) = match (
+        positive_arg(&args, "--threads"),
+        positive_arg(&args, "--interval"),
+    ) {
+        (Ok(threads), Ok(interval)) => (threads.map_or(1, |n| n as usize), interval),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("perf: {e}");
+            std::process::exit(2);
+        }
+    };
     if std::env::args().any(|a| a == "--metrics") {
-        std::process::exit(metrics_mode());
+        std::process::exit(metrics_mode(interval));
     }
     if std::env::args().any(|a| a == "--superblock") {
         let check_only = std::env::args().any(|a| a == "--check");
@@ -411,7 +424,6 @@ fn main() {
     if profiled {
         std::process::exit(profile_mode());
     }
-    let threads = threads_arg();
     let write = std::env::args().any(|a| a == "--write");
     let (after, _) = run_fig5_probe(
         "after: interned stats + arena dispatch + D$ fast path + shared translations",
@@ -435,5 +447,50 @@ fn main() {
         let json = render_json(&pre_opt_baseline(), &after, &fp);
         std::fs::write("BENCH_dispatch.json", &json).expect("write BENCH_dispatch.json");
         println!("wrote BENCH_dispatch.json");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::positive_arg;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn absent_flag_is_none() {
+        assert_eq!(
+            positive_arg(&args(&["perf", "--check"]), "--threads"),
+            Ok(None)
+        );
+    }
+
+    #[test]
+    fn positive_value_parses() {
+        let a = args(&["perf", "--threads", "4", "--interval", "500"]);
+        assert_eq!(positive_arg(&a, "--threads"), Ok(Some(4)));
+        assert_eq!(positive_arg(&a, "--interval"), Ok(Some(500)));
+    }
+
+    #[test]
+    fn malformed_values_are_rejected() {
+        for bad in [
+            &["perf", "--threads", "abc"][..],
+            &["perf", "--threads", "0"],
+            &["perf", "--threads", "-2"],
+            &["perf", "--threads"],
+        ] {
+            let e = positive_arg(&args(bad), "--threads").expect_err("rejected");
+            assert!(e.starts_with("--threads wants a positive integer"), "{e}");
+        }
+        let e = positive_arg(
+            &args(&["perf", "--metrics", "--interval", "0"]),
+            "--interval",
+        );
+        assert_eq!(
+            e,
+            Err("--interval wants a positive integer, got `0`".to_string())
+        );
     }
 }

@@ -158,10 +158,7 @@ pub fn profile_benchmark(bench: &str, scale: Scale, trace_capacity: usize) -> Pr
 pub fn top_phases_report(p: &ProfileReport) -> String {
     let mut out = String::new();
     if p.threads.is_empty() {
-        let _ = writeln!(
-            out,
-            "host wall profile: no samples (profiling disabled or `prof` feature off)"
-        );
+        let _ = writeln!(out, "host wall profile: no samples (profiling disabled)");
         return out;
     }
     let wall = p.wall_nanos.max(1) as f64;
@@ -437,8 +434,8 @@ mod tests {
     }
 
     // A real (tiny) profiled run: deterministic fields must match an
-    // unprofiled run exactly, and with the feature on the report must
-    // actually contain the coordinator thread.
+    // unprofiled run exactly, and the report must actually contain the
+    // coordinator thread.
     #[test]
     fn profiled_run_matches_unprofiled_simulation() {
         let r = profile_benchmark("gzip", Scale::Test, 1024);
@@ -452,13 +449,9 @@ mod tests {
             ManagerActivity::from_stats(&report.stats, report.cycles),
             "manager attribution is deterministic"
         );
-        if cfg!(feature = "prof") {
-            assert!(
-                r.profile.threads.iter().any(|t| t.name == "run"),
-                "coordinator thread profile missing"
-            );
-        } else {
-            assert!(r.profile.threads.is_empty());
-        }
+        assert!(
+            r.profile.threads.iter().any(|t| t.name == "run"),
+            "coordinator thread profile missing"
+        );
     }
 }

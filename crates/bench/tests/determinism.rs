@@ -8,11 +8,13 @@ use std::sync::Arc;
 
 use vta_bench::RUN_BUDGET;
 use vta_dbt::{SharedTranslations, System, VirtualArchConfig};
-use vta_sim::{MetricsConfig, TraceConfig};
+use vta_sim::{MetricsConfig, ProfConfig, TraceConfig};
 use vta_workloads::Scale;
 
 /// The tracer is an observer: running with tracing enabled must not
-/// change a single simulated number relative to running without it.
+/// change a single simulated number relative to running without it —
+/// alone, or together with the metrics recorder and the host profiler
+/// on the same `System`.
 #[test]
 fn tracing_does_not_change_a_single_cycle() {
     let w = vta_workloads::by_name("gzip", Scale::Test).expect("gzip exists");
@@ -27,19 +29,49 @@ fn tracing_does_not_change_a_single_cycle() {
     assert_eq!(plain.output, traced.output);
     assert_eq!(plain.stats, traced.stats, "all counters identical");
     let tracer = traced_sys.take_tracer();
-    // Without the `trace` feature the Tracer is a no-op shell; the
-    // cycle/stats equalities above are the test's substance either way.
-    if cfg!(feature = "trace") {
-        assert!(tracer.is_enabled() && !tracer.is_empty(), "trace captured");
-        assert!(tracer.events().count() > 0);
-    }
+    assert!(tracer.is_enabled() && !tracer.is_empty(), "trace captured");
+    assert!(tracer.events().count() > 0);
+
+    // All three observers at once: their hooks interleave in the run
+    // loop, and none of them may perturb the simulation.
+    let mut all_sys = System::new(VirtualArchConfig::paper_default(), &w.image);
+    all_sys.enable_tracing(TraceConfig { capacity: 1 << 14 });
+    all_sys.enable_metrics(MetricsConfig {
+        interval: 1000,
+        ..MetricsConfig::default()
+    });
+    all_sys.enable_profiling(ProfConfig::default());
+    let all = all_sys.run(RUN_BUDGET).expect("gzip runs");
+    assert_eq!(
+        plain.cycles, all.cycles,
+        "cycles identical, all observers on"
+    );
+    assert_eq!(plain.guest_insns, all.guest_insns);
+    assert_eq!(plain.output, all.output);
+    assert_eq!(
+        plain.stats, all.stats,
+        "all counters identical, all observers on"
+    );
+    let tracer = all_sys.take_tracer();
+    assert!(
+        tracer.events().count() > 0,
+        "trace captured alongside metrics"
+    );
+    let m = all_sys.take_metrics();
+    assert!(!m.is_empty(), "series captured alongside tracing");
+    m.reconcile_stats(&all.stats)
+        .expect("windowed sums telescope to the run totals");
+    let profile = all_sys.take_profile();
+    assert!(
+        profile.threads.iter().any(|t| t.name == "run"),
+        "run-loop thread profiled alongside tracing and metrics"
+    );
 }
 
 /// The metrics recorder is the same kind of observer as the tracer:
 /// windowed sampling must not change a single simulated number relative
 /// to running without it — at any sampling interval. Mirrors
-/// [`tracing_does_not_change_a_single_cycle`]; holds in both feature
-/// configurations (with `metrics` off the recorder is a no-op shell).
+/// [`tracing_does_not_change_a_single_cycle`].
 #[test]
 fn metrics_do_not_change_a_single_cycle() {
     let w = vta_workloads::by_name("gzip", Scale::Test).expect("gzip exists");
@@ -63,13 +95,9 @@ fn metrics_do_not_change_a_single_cycle() {
             "stats digest identical with metrics on"
         );
         let m = sys.take_metrics();
-        if cfg!(feature = "metrics") {
-            assert!(m.is_enabled() && !m.is_empty(), "series captured");
-            m.reconcile_stats(&sampled.stats)
-                .expect("windowed sums telescope to the run totals");
-        } else {
-            assert!(m.is_empty());
-        }
+        assert!(m.is_enabled() && !m.is_empty(), "series captured");
+        m.reconcile_stats(&sampled.stats)
+            .expect("windowed sums telescope to the run totals");
     }
 }
 

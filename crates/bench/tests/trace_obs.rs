@@ -5,10 +5,6 @@
 //! (its software loop assigns work, looks up the L2 code cache, and
 //! commits finished blocks; §2.2).
 
-// The whole suite reads recorded events; without the `trace` feature the
-// Tracer is a no-op shell and there is nothing to observe.
-#![cfg(feature = "trace")]
-
 use vta_bench::json_lint;
 use vta_bench::trace::{chrome_trace_json, trace_benchmark, utilization_report};
 use vta_dbt::VirtualArchConfig;

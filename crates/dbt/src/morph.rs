@@ -133,7 +133,6 @@ impl MorphManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "trace")]
     use vta_sim::{TraceConfig, TraceEvent};
 
     fn mgr(threshold: usize) -> MorphManager {
@@ -269,7 +268,6 @@ mod tests {
         assert_eq!(m.last_lag(), 4000, "queue first seen empty at 7000");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn decisions_emit_trace_instants() {
         let mut m = mgr(0);

@@ -2295,21 +2295,15 @@ mod tests {
         assert_eq!(r.cycles, base.cycles, "sampling never changes time");
         assert_eq!(r.stats, base.stats, "sampling never changes counters");
         let m = sys.take_metrics();
-        // Without the `metrics` feature the recorder is a no-op shell;
-        // the equalities above are the test's substance either way.
-        if cfg!(feature = "metrics") {
-            assert!(m.len() > 1, "several windows closed: {}", m.len());
-            m.reconcile_stats(&r.stats)
-                .expect("windowed sums telescope to the run totals");
-            let last = m.windows().last().expect("non-empty");
-            assert_eq!(last.end, r.cycles, "final window closes at end of run");
-            assert!(
-                m.gauges().any(|(_, n)| n == "specq.len"),
-                "simulated gauges registered"
-            );
-        } else {
-            assert!(m.is_empty());
-        }
+        assert!(m.len() > 1, "several windows closed: {}", m.len());
+        m.reconcile_stats(&r.stats)
+            .expect("windowed sums telescope to the run totals");
+        let last = m.windows().last().expect("non-empty");
+        assert_eq!(last.end, r.cycles, "final window closes at end of run");
+        assert!(
+            m.gauges().any(|(_, n)| n == "specq.len"),
+            "simulated gauges registered"
+        );
     }
 
     #[test]
@@ -2323,11 +2317,9 @@ mod tests {
                 ..MetricsConfig::default()
             });
             let r = sys.run(10_000_000).expect("runs");
-            if cfg!(feature = "metrics") {
-                sys.metrics()
-                    .reconcile_stats(&r.stats)
-                    .unwrap_or_else(|e| panic!("interval {interval}: {e}"));
-            }
+            sys.metrics()
+                .reconcile_stats(&r.stats)
+                .unwrap_or_else(|e| panic!("interval {interval}: {e}"));
             cycles.push(r.cycles);
         }
         assert!(cycles.windows(2).all(|w| w[0] == w[1]), "{cycles:?}");

@@ -1,7 +1,6 @@
 //! Tier-1 gates for the differential fuzzer (see `vta_ir::fuzz`).
 //!
-//! Three cheap, deterministic checks run on every `cargo test` in both
-//! feature configurations:
+//! Three cheap, deterministic checks run on every `cargo test`:
 //!
 //! * every committed corpus reproducer replays clean through the
 //!   three-way oracle (a regression here means a fixed front-end bug

@@ -9,11 +9,8 @@
 //!    from the simulator's point of view: every emit method takes the
 //!    timestamps the caller already computed and stores them. No emit method
 //!    returns anything a simulator could branch on.
-//! 2. **Disabled tracing costs (almost) nothing.** At runtime a disabled
-//!    tracer ([`Tracer::disabled`]) is one branch per emit. With the `trace`
-//!    cargo feature off the struct is zero-sized and every method compiles
-//!    to an empty body, so the hot path is bit-for-bit what it was before
-//!    this module existed.
+//! 2. **Disabled tracing costs (almost) nothing.** A disabled tracer
+//!    ([`Tracer::disabled`]) holds no buffer and is one branch per emit.
 //!
 //! Event storage is a fixed-capacity ring: when full, the *oldest* events
 //! are overwritten (and counted in [`Tracer::dropped`]) so the tail of a
@@ -30,13 +27,8 @@
 //! let track = t.track("tile(1,1) exec");
 //! t.span(Cycle(10), 5, track, "block");
 //! t.counter(Cycle(15), track, 3);
-//! // With the `trace` feature off every emit is a no-op.
-//! if cfg!(feature = "trace") {
-//!     assert_eq!(t.busy_cycles(track), 5);
-//!     assert_eq!(t.events().count(), 2);
-//! } else {
-//!     assert_eq!(t.events().count(), 0);
-//! }
+//! assert_eq!(t.busy_cycles(track), 5);
+//! assert_eq!(t.events().count(), 2);
 //!
 //! // A disabled tracer accepts the same calls and records nothing.
 //! let mut off = Tracer::disabled();
@@ -46,7 +38,6 @@
 //! ```
 
 use crate::{Cycle, Histogram};
-#[cfg(feature = "trace")]
 use std::collections::BTreeMap;
 
 /// Configuration for a [`Tracer`].
@@ -179,7 +170,6 @@ impl TraceEvent {
     }
 }
 
-#[cfg(feature = "trace")]
 #[derive(Debug, Default)]
 struct TrackMeta {
     name: String,
@@ -192,7 +182,6 @@ struct TrackMeta {
     hist: Option<Histogram>,
 }
 
-#[cfg(feature = "trace")]
 #[derive(Debug)]
 struct Buf {
     ring: Vec<TraceEvent>,
@@ -205,7 +194,6 @@ struct Buf {
     links: BTreeMap<(Coord, Coord), LinkStats>,
 }
 
-#[cfg(feature = "trace")]
 impl Buf {
     fn new(cfg: TraceConfig) -> Self {
         Buf {
@@ -239,30 +227,17 @@ impl Buf {
 /// design constraints.
 ///
 /// Obtain one with [`Tracer::new`] (recording) or [`Tracer::disabled`]
-/// (every call is a cheap no-op). With the `trace` cargo feature off, both
-/// are zero-sized no-ops.
+/// (every call is a cheap no-op).
 #[derive(Debug, Default)]
 pub struct Tracer {
-    #[cfg(feature = "trace")]
     buf: Option<Box<Buf>>,
 }
 
 impl Tracer {
     /// A recording tracer with a preallocated ring of `cfg.capacity` events.
-    ///
-    /// With the `trace` cargo feature off this is the same as
-    /// [`Tracer::disabled`].
     pub fn new(cfg: TraceConfig) -> Self {
-        #[cfg(feature = "trace")]
-        {
-            Tracer {
-                buf: Some(Box::new(Buf::new(cfg))),
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = cfg;
-            Tracer {}
+        Tracer {
+            buf: Some(Box::new(Buf::new(cfg))),
         }
     }
 
@@ -273,14 +248,7 @@ impl Tracer {
 
     /// True when events are actually being recorded.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.buf.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.buf.is_some()
     }
 
     /// Registers (or looks up) the track named `name` and returns its id.
@@ -289,7 +257,6 @@ impl Tracer {
     /// returns the same [`TrackId`], so idempotent setup code is safe.
     /// On a disabled tracer this returns `TrackId::default()`.
     pub fn track(&mut self, name: &str) -> TrackId {
-        #[cfg(feature = "trace")]
         if let Some(b) = self.buf.as_deref_mut() {
             if let Some(&id) = b.by_name.get(name) {
                 return id;
@@ -302,15 +269,12 @@ impl Tracer {
             b.by_name.insert(name.to_string(), id);
             return id;
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = name;
         TrackId::default()
     }
 
     /// Records a complete span of `dur` busy cycles on `track`.
     #[inline]
     pub fn span(&mut self, ts: Cycle, dur: u64, track: TrackId, name: &'static str) {
-        #[cfg(feature = "trace")]
         if let Some(b) = self.buf.as_deref_mut() {
             if let Some(m) = b.tracks.get_mut(track.0 as usize) {
                 m.busy += dur;
@@ -322,14 +286,11 @@ impl Tracer {
                 name,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (ts, dur, track, name);
     }
 
     /// Opens a span on `track`; close it with [`Tracer::span_end`].
     #[inline]
     pub fn span_begin(&mut self, ts: Cycle, track: TrackId, name: &'static str) {
-        #[cfg(feature = "trace")]
         if let Some(b) = self.buf.as_deref_mut() {
             if let Some(m) = b.tracks.get_mut(track.0 as usize) {
                 m.open_since = Some(ts.0);
@@ -340,14 +301,11 @@ impl Tracer {
                 name,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (ts, track, name);
     }
 
     /// Closes the open span on `track` (no-op if none is open).
     #[inline]
     pub fn span_end(&mut self, ts: Cycle, track: TrackId) {
-        #[cfg(feature = "trace")]
         if let Some(b) = self.buf.as_deref_mut() {
             if let Some(m) = b.tracks.get_mut(track.0 as usize) {
                 if let Some(since) = m.open_since.take() {
@@ -356,14 +314,11 @@ impl Tracer {
             }
             b.push(TraceEvent::SpanEnd { ts: ts.0, track });
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (ts, track);
     }
 
     /// Records a point-in-time marker on `track`.
     #[inline]
     pub fn instant(&mut self, ts: Cycle, track: TrackId, name: &'static str, arg: u64) {
-        #[cfg(feature = "trace")]
         if let Some(b) = self.buf.as_deref_mut() {
             b.push(TraceEvent::Instant {
                 ts: ts.0,
@@ -372,15 +327,12 @@ impl Tracer {
                 arg,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (ts, track, name, arg);
     }
 
     /// Records a counter sample on `track`; samples also feed the track's
     /// [`Histogram`] (see [`Tracer::counter_histogram`]).
     #[inline]
     pub fn counter(&mut self, ts: Cycle, track: TrackId, value: u64) {
-        #[cfg(feature = "trace")]
         if let Some(b) = self.buf.as_deref_mut() {
             if let Some(m) = b.tracks.get_mut(track.0 as usize) {
                 m.hist.get_or_insert_with(Histogram::new).record(value);
@@ -391,14 +343,11 @@ impl Tracer {
                 value,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (ts, track, value);
     }
 
     /// Records one network message and accumulates its link traffic.
     #[inline]
     pub fn net_msg(&mut self, ts: Cycle, dur: u64, src: Coord, dst: Coord, words: u32, hops: u8) {
-        #[cfg(feature = "trace")]
         if let Some(b) = self.buf.as_deref_mut() {
             let link = b.links.entry((src, dst)).or_default();
             link.msgs += 1;
@@ -412,99 +361,53 @@ impl Tracer {
                 hops,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (ts, dur, src, dst, words, hops);
     }
 
     /// The recorded events, oldest first. When the ring has wrapped, only
     /// the newest [`Tracer::capacity`] events remain.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        #[cfg(feature = "trace")]
-        {
-            self.buf.as_deref().into_iter().flat_map(Buf::iter)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            std::iter::empty()
-        }
+        self.buf.as_deref().into_iter().flat_map(Buf::iter)
     }
 
     /// All registered tracks as `(id, name)`, in registration order.
     pub fn tracks(&self) -> impl Iterator<Item = (TrackId, &str)> {
-        #[cfg(feature = "trace")]
-        {
-            self.buf.as_deref().into_iter().flat_map(|b| {
-                b.tracks
-                    .iter()
-                    .enumerate()
-                    .map(|(i, m)| (TrackId(i as u16), m.name.as_str()))
-            })
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            std::iter::empty()
-        }
+        self.buf.as_deref().into_iter().flat_map(|b| {
+            b.tracks
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (TrackId(i as u16), m.name.as_str()))
+        })
     }
 
     /// Total span cycles accumulated on `track` (exact even when the ring
     /// has dropped events).
     pub fn busy_cycles(&self, track: TrackId) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.buf
-                .as_deref()
-                .and_then(|b| b.tracks.get(track.0 as usize))
-                .map_or(0, |m| m.busy)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = track;
-            0
-        }
+        self.buf
+            .as_deref()
+            .and_then(|b| b.tracks.get(track.0 as usize))
+            .map_or(0, |m| m.busy)
     }
 
     /// Distribution of [`Tracer::counter`] samples taken on `track`, if any.
     pub fn counter_histogram(&self, track: TrackId) -> Option<&Histogram> {
-        #[cfg(feature = "trace")]
-        {
-            self.buf
-                .as_deref()
-                .and_then(|b| b.tracks.get(track.0 as usize))
-                .and_then(|m| m.hist.as_ref())
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = track;
-            None
-        }
+        self.buf
+            .as_deref()
+            .and_then(|b| b.tracks.get(track.0 as usize))
+            .and_then(|m| m.hist.as_ref())
     }
 
     /// Aggregate traffic per directed link, in deterministic (src, dst)
     /// order. Exact even when the ring has dropped events.
     pub fn links(&self) -> impl Iterator<Item = (Coord, Coord, LinkStats)> + '_ {
-        #[cfg(feature = "trace")]
-        {
-            self.buf
-                .as_deref()
-                .into_iter()
-                .flat_map(|b| b.links.iter().map(|(&(s, d), &st)| (s, d, st)))
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            std::iter::empty()
-        }
+        self.buf
+            .as_deref()
+            .into_iter()
+            .flat_map(|b| b.links.iter().map(|(&(s, d), &st)| (s, d, st)))
     }
 
     /// Number of events currently held in the ring.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "trace")]
-        {
-            self.buf.as_deref().map_or(0, |b| b.ring.len())
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.buf.as_deref().map_or(0, |b| b.ring.len())
     }
 
     /// True when no events have been recorded (always true when disabled).
@@ -514,30 +417,16 @@ impl Tracer {
 
     /// Ring capacity in events (0 when disabled).
     pub fn capacity(&self) -> usize {
-        #[cfg(feature = "trace")]
-        {
-            self.buf.as_deref().map_or(0, |b| b.capacity)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.buf.as_deref().map_or(0, |b| b.capacity)
     }
 
     /// Events lost to ring overwrite since creation.
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.buf.as_deref().map_or(0, |b| b.dropped)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.buf.as_deref().map_or(0, |b| b.dropped)
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -5,13 +5,13 @@
 # package holds the proptest/criterion suites and is built on request
 # only.
 #
-# The gate is a staged matrix with per-stage timing (human summary at
+# The gate runs in stages with per-stage timing (human summary at
 # the end, machine-readable in ci-timings.json):
 #
 #   fmt
-#   clippy   × {default, --no-default-features}
-#   build    × {default, --no-default-features}   (release)
-#   test     × {default, --no-default-features}   (debug-for-tests)
+#   clippy
+#   build    (release)
+#   test     (debug-for-tests)
 #   determinism: perf --check — simulated cycles must match the frozen
 #     fingerprints in BENCH_dispatch.json bit-for-bit
 #   metrics: perf --metrics --check — the windowed series for the vpr
@@ -23,19 +23,22 @@
 #     modes for every benchmark × opt cell
 #   profile: the host wall-time profiler must be invisible to the
 #     simulation — perf --profile --check stdout must be byte-identical
-#     to plain --check, in the default build and in the
-#     no-default-features build (where the profiler compiles out), and
-#     the profiler's own wall cost on the fingerprint benches must stay
-#     under 5% (perf --profile --overhead, min-of-N)
-#   fuzz: differential fuzzing under the feature combinations that
-#     exist in the field (default = trace+metrics+prof, none of them,
-#     trace-without-metrics, and prof-alone — the profiler hooks must
-#     not perturb the oracle)
+#     to plain --check, and the profiler's own wall cost on the
+#     fingerprint benches must stay under 5% (perf --profile --overhead,
+#     min-of-N)
+#   fuzz: differential fuzzing — the committed corpus replays clean and
+#     fixed-seed generated batches find zero divergences
+#   figures: figures --fig all --scale small must reproduce the
+#     "# Raw output" block of EXPERIMENTS.md byte-for-byte
 #   scaling gate: on multi-core hosts, the fig5 sweep fanned out over
 #     4 threads must be >= 1.8x faster than on 1 thread (skipped on
 #     single-core hosts, where no wall-clock speedup is physically
 #     possible). Sweep fan-out is the one place host parallelism lives;
 #     every simulation itself runs serially.
+#
+# There is one build configuration: the tracer, the metrics recorder
+# and the host profiler are always compiled in and switched on at
+# runtime (System::enable_*), so clippy/build/test each run once.
 #
 # Every stage that skips itself says so inline AND in the end-of-run
 # summary — a skip is a host limitation, never a silent pass.
@@ -51,12 +54,54 @@ STAGE_STATUS=()
 # themselves skipped; run_stage resets it before each stage.
 STAGE_SKIPPED=""
 
+# The stage in progress, so a failing run still records it.
+CURRENT_STAGE=""
+CURRENT_T0=0
+
+# Machine-readable per-stage timings (uploaded as a CI artifact).
+write_timings() {
+    local i total=0 comma
+    {
+        echo '{'
+        echo '  "stages": ['
+        for i in "${!STAGE_NAMES[@]}"; do
+            total=$((total + STAGE_SECS[i]))
+            comma=','
+            [ "$((i + 1))" -eq "${#STAGE_NAMES[@]}" ] && comma=''
+            printf '    { "name": "%s", "seconds": %d, "status": "%s" }%s\n' \
+                "${STAGE_NAMES[$i]}" "${STAGE_SECS[$i]}" "${STAGE_STATUS[$i]}" "$comma"
+        done
+        echo '  ],'
+        printf '  "total_seconds": %d\n' "$total"
+        echo '}'
+    } > ci-timings.json
+    echo "ci: wrote ci-timings.json"
+}
+
+# On a failing exit, record the stage that failed and the ones before
+# it, so ci-timings.json always describes this run. The exit status is
+# unchanged.
+on_exit() {
+    local code=$?
+    if [ "$code" -ne 0 ] && [ -n "$CURRENT_STAGE" ]; then
+        STAGE_NAMES+=("$CURRENT_STAGE")
+        STAGE_SECS+=("$((SECONDS - CURRENT_T0))")
+        STAGE_STATUS+=("FAIL")
+        echo "ci: FAIL in stage: $CURRENT_STAGE" >&2
+        write_timings
+    fi
+    exit "$code"
+}
+trap on_exit EXIT
+
 # run_stage <name> <cmd...>: time one stage, fail loudly, remember it.
 run_stage() {
     local name="$1"
     shift
     local t0=$SECONDS
     STAGE_SKIPPED=""
+    CURRENT_STAGE="$name"
+    CURRENT_T0=$t0
     echo "ci: ── stage: $name"
     "$@"
     local dt=$((SECONDS - t0))
@@ -67,29 +112,21 @@ run_stage() {
     STAGE_NAMES+=("$name")
     STAGE_SECS+=("$dt")
     STAGE_STATUS+=("$status")
+    CURRENT_STAGE=""
     echo "ci: ── stage: $name $status (${dt}s)"
 }
 
 run_stage "fmt" \
     cargo fmt --all --check
 
-run_stage "clippy (default)" \
+run_stage "clippy" \
     cargo clippy --workspace --all-targets -- -D warnings
-run_stage "clippy (no-default-features)" \
-    cargo clippy --workspace --all-targets --no-default-features -- -D warnings
 
-run_stage "build release (default)" \
+run_stage "build release" \
     cargo build --release --workspace
-run_stage "build release (no-default-features)" \
-    cargo build --release --workspace --no-default-features
 
-run_stage "test (default)" \
+run_stage "test" \
     cargo test -q --workspace
-# The trace feature must compile out completely (the Tracer becomes a
-# zero-sized no-op) — and the no-trace configuration must PASS ITS
-# TESTS, not merely type-check.
-run_stage "test (no-default-features)" \
-    cargo test -q --workspace --no-default-features
 
 # Determinism stage: simulated cycles must match the frozen
 # fingerprints in BENCH_dispatch.json bit-for-bit (perf --check exits
@@ -113,8 +150,7 @@ run_stage "superblock retirement (perf --superblock --check)" \
 # Profile stage: host wall-clock profiling is the second clock domain
 # and must never leak into the first — enabling it inside every
 # fingerprinted System must leave the --check stdout (cycles AND full
-# stats digests) byte-identical, in the default build and in the
-# no-default-features build where the profiler compiles down to no-ops.
+# stats digests) byte-identical.
 # The profiler's own cost is gated too: min-of-N interleaved wall on
 # the fingerprint benches must stay within 5% (one retry — the
 # assertion measures the instrumentation, not a noisy neighbor).
@@ -130,17 +166,7 @@ profile_stage() {
         diff "$out_dir/plain.txt" "$out_dir/prof.txt" >&2 || true
         return 1
     fi
-    echo "ci:    perf --profile --check, --no-default-features (profiler compiled out)"
-    cargo run --release -q -p vta-bench --no-default-features --bin perf -- --check \
-        > "$out_dir/plain-off.txt"
-    cargo run --release -q -p vta-bench --no-default-features --bin perf -- --profile --check \
-        > "$out_dir/prof-off.txt"
-    if ! diff -q "$out_dir/plain-off.txt" "$out_dir/prof-off.txt" > /dev/null; then
-        echo "ci: FAIL: --profile --check stdout differs without the prof feature" >&2
-        diff "$out_dir/plain-off.txt" "$out_dir/prof-off.txt" >&2 || true
-        return 1
-    fi
-    echo "ci:    profiling on/off stdout identical, default build + feature-off"
+    echo "ci:    profiling on/off stdout identical"
     if ! cargo run --release -q -p vta-bench --bin perf -- --profile --overhead \
         | sed 's/^/ci:    /'; then
         echo "ci:    overhead gate failed once; retrying (guards against a noisy host)"
@@ -160,23 +186,9 @@ run_stage "profile (on/off invariance + overhead)" \
 # Fixed seeds mean the same case stream and the same verdicts on every
 # host; the binary exits nonzero (printing a ready-to-commit corpus
 # file) on any divergence.
-#
-# The corpus also replays under trace-without-metrics — before this
-# combination was added, the fuzz stage only ever ran with metrics and
-# trace toggled together (default = both on, --no-default-features =
-# both off), so the trace-enabled/metrics-disabled build was never
-# exercised at all.
 fuzz_stage() {
     cargo run --release -q -p vta-bench --bin fuzz -- \
         --corpus crates/ir/tests/corpus
-    echo "ci:    corpus replay, --no-default-features --features trace"
-    cargo run --release -q -p vta-bench --no-default-features --features trace \
-        --bin fuzz -- --corpus crates/ir/tests/corpus
-    # Prof-alone: the profiler's hooks (host clock reads on translation
-    # slow paths) must not perturb the differential oracle either.
-    echo "ci:    corpus replay, --no-default-features --features prof"
-    cargo run --release -q -p vta-bench --no-default-features --features prof \
-        --bin fuzz -- --corpus crates/ir/tests/corpus
     cargo run --release -q -p vta-bench --bin fuzz -- \
         --cases 4000 --seed 0x5EED
     cargo run --release -q -p vta-bench --bin fuzz -- \
@@ -186,6 +198,36 @@ fuzz_stage() {
 }
 run_stage "fuzz (fixed-seed smoke)" \
     fuzz_stage
+
+# Figures stage: EXPERIMENTS.md quotes the output of `figures --fig all
+# --scale small` verbatim under "# Raw output" (the fenced block after
+# that heading). The simulation is deterministic, so that stdout must
+# match the quoted block byte-for-byte; any drift means the document's
+# numbers are stale.
+figures_stage() {
+    local out_dir
+    out_dir="$(mktemp -d)"
+    awk '/^# Raw output/ { raw = 1; next }
+         raw && /^```/ { if (inside) exit; inside = 1; next }
+         inside { print }' EXPERIMENTS.md > "$out_dir/quoted.txt"
+    if [ ! -s "$out_dir/quoted.txt" ]; then
+        echo "ci: FAIL: no fenced block under \"# Raw output\" in EXPERIMENTS.md" >&2
+        rm -rf "$out_dir"
+        return 1
+    fi
+    cargo run --release -q -p vta-bench --bin figures -- --fig all --scale small \
+        > "$out_dir/actual.txt"
+    if ! diff -q "$out_dir/quoted.txt" "$out_dir/actual.txt" > /dev/null; then
+        echo "ci: FAIL: figures output drifted from EXPERIMENTS.md's \"# Raw output\" block" >&2
+        echo "ci:       (outputs kept in $out_dir)" >&2
+        diff "$out_dir/quoted.txt" "$out_dir/actual.txt" >&2 || true
+        return 1
+    fi
+    echo "ci:    figures --fig all --scale small matches EXPERIMENTS.md byte-for-byte"
+    rm -rf "$out_dir"
+}
+run_stage "figures (EXPERIMENTS.md raw output)" \
+    figures_stage
 
 # Scaling gate: sweep fan-out must actually pay off where it can. A
 # single-core host cannot speed anything up with threads (only measure
@@ -239,22 +281,5 @@ for i in "${!STAGE_NAMES[@]}"; do
     esac
 done
 
-# Machine-readable per-stage timings (uploaded as a CI artifact).
-{
-    echo '{'
-    echo '  "stages": ['
-    total=0
-    for i in "${!STAGE_NAMES[@]}"; do
-        total=$((total + STAGE_SECS[i]))
-        comma=','
-        [ "$((i + 1))" -eq "${#STAGE_NAMES[@]}" ] && comma=''
-        status="${STAGE_STATUS[$i]}"
-        printf '    { "name": "%s", "seconds": %d, "status": "%s" }%s\n' \
-            "${STAGE_NAMES[$i]}" "${STAGE_SECS[$i]}" "$status" "$comma"
-    done
-    echo '  ],'
-    printf '  "total_seconds": %d\n' "$total"
-    echo '}'
-} > ci-timings.json
-echo "ci: wrote ci-timings.json"
+write_timings
 echo "ci: all tier-1 checks passed"
